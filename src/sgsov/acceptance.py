@@ -76,7 +76,7 @@ def default_instance(
 
 def criterion_rll(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 10) -> CriterionResult:
     """RLL exchange relation per site at random spectral-parameter pairs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     tol = params.tol("rll")
     worst = 0.0
@@ -90,14 +90,14 @@ def criterion_rll(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 1
         passed=worst <= tol,
         tolerance=tol,
         measured={"max_residual": worst, "pairs_per_site": n_pairs},
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=1.0,
     )
 
 
 def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 10) -> CriterionResult:
     """[T(l), T(m)] = 0 at random pairs, relative Frobenius norm."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     tol = params.tol("commutator")
     worst = 0.0
@@ -110,14 +110,14 @@ def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generato
         passed=worst <= tol,
         tolerance=tol,
         measured={"max_residual": worst, "pairs": n_pairs},
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=1.0,
     )
 
 
 def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator, n_points: int = 5) -> CriterionResult:
     """Averaged B is the closed-form central scalar and commutes with A, D, T."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params, avg = sol.params, sol.avg
     scalar_tol = params.tol("average_scalar")
     central_tol = params.tol("centrality")
@@ -164,14 +164,14 @@ def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator, n_p
             "centrality_tolerance": central_tol,
             "closed_form_tolerance": closed_tol,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=5.0,
     )
 
 
 def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Joint diagonalisation quality, label bijection, measure pairing."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params, frame = sol.params, sol.frame
     sim_tol = params.tol("simdiag")
     measure_tol = params.tol("measure")
@@ -200,14 +200,14 @@ def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> Criteri
             "measure_deviation": measure_dev,
             "measure_tolerance": measure_tol,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=10.0,
     )
 
 
 def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator, n_perturbed: int = 20) -> CriterionResult:
     """Simplicity, eigenvalue-class fit, and grid determinant quantisation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     fit_tol = params.tol("fit")
     det_tol = params.tol("det_zero")
@@ -244,14 +244,14 @@ def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator, n_perturbed
             "min_perturbed_grid_det": float(min_perturbed),
             "fit_tolerance": fit_tol,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=30.0,
     )
 
 
 def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator, n_offgrid: int = 20) -> CriterionResult:
     """Q degree bound, joint grid residual, and functional TQ residual."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     q_tol = params.tol("q_fit")
     tq_tol = params.tol("tq")
@@ -288,14 +288,14 @@ def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator, n_offgri
             "excess_coefficient_max": worst_excess,
             "grid_tolerance": q_tol,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=30.0,
     )
 
 
 def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator, n_lambda: int = 5) -> CriterionResult:
     """Built states match oracle vectors and are transfer eigenstates."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     ov_tol = params.tol("overlap")
     res_tol = params.tol("eigenstate")
@@ -328,7 +328,7 @@ def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator, n_lambda
             "residual_tolerance": res_tol,
             "reference_index": sol.reference_index,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=30.0,
     )
 
@@ -340,7 +340,7 @@ def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> Crit
     and the diagonal determinant/direct ratio is one constant; the shift
     generator's ratio must equal the same constant over every pair.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     off_tol = params.tol("ff_offdiag")
     ratio_tol = params.tol("ff_ratio")
@@ -376,14 +376,14 @@ def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> Crit
             "normalisation_constant": [const.real, const.imag],
             "offdiag_tolerance": off_tol,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=120.0,
     )
 
 
 def criterion_reality(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Soft check: imaginary residues of t and Q coefficients (report only)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = sol.params.tol("reality")
     t_res = max(pr.imag_residue for pr in sol.pairs)
     q_res = max(pr.q_function.imag_residue for pr in sol.pairs)
@@ -398,7 +398,7 @@ def criterion_reality(sol: ModelSolution, rng: np.random.Generator) -> Criterion
         passed=True,  # soft threshold: warn, never fail
         tolerance=tol,
         measured={"t_imag_residue": float(t_res), "q_imag_residue": float(q_res)},
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=None,
         warnings=tuple(warnings),
     )
@@ -459,7 +459,7 @@ def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400) -> Crite
     Informational: reports how many of the p^N oracle eigenvalues the
     multi-start search recovered and whether any spurious points appeared.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = sol.params
     found = ab_initio_spectrum(params, sol.avg, sol.coeffs, seed=seed, n_starts=n_starts)
     matched = 0
@@ -483,7 +483,7 @@ def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400) -> Crite
             "oracle_count": params.dim,
             "starts": n_starts,
         },
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         budget_s=None,
         warnings=() if matched == params.dim else
         (f"search recovered {matched}/{params.dim} spectrum points",),

@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides["tolerances"] = tol_flags
         cfg = load_config(args.config, overrides)
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         if args.command == "suite":
             records, ok = cmd_suite(cfg, ab_initio=args.ab_initio, stretch=args.stretch)
         else:
@@ -454,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-        print(f"{args.command}: {len(records)} records in {time.time() - t0:.2f}s",
+        print(f"{args.command}: {len(records)} records in {time.perf_counter() - t0:.2f}s",
               file=sys.stderr)
         return 0 if ok else 3
     except ConfigError as exc:

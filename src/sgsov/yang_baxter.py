@@ -11,8 +11,12 @@ with l_n = l / xi_n.  Operator ordering inside the entries is semantic
 (u and v do not commute) and is kept exactly as written.
 
 The monodromy matrix is the ordered product M(l) = L_N(l) ... L_1(l)
-with site N leftmost, each entry embedded into the full p^N space, and
-the transfer matrix is T(l) = A(l) + D(l).
+with site N leftmost, and the transfer matrix is T(l) = A(l) + D(l).
+Each Lax entry acts on one tensor factor, so the product is built site
+by site as a sum of Kronecker products: the partial monodromy over
+sites 1..n is P_n[i,j] = sum_k P_{n-1}[k,j] (x) L_n[i,k], O(dim^2) work
+per site.  Site 1 stays the slowest tensor factor, the ordering of
+:func:`sgsov.model.embed`.
 
 The auxiliary R-matrix is the symmetric trigonometric 6-vertex matrix in
 the multiplicative spectral parameter x = l/m with anisotropy parameter
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, clock_matrix, embed, shift_matrix
+from .model import ModelParams, clock_matrix, shift_matrix
 
 __all__ = [
     "LaxMatrix",
@@ -89,22 +93,14 @@ def lax(params: ModelParams, n: int, lam: complex) -> LaxMatrix:
     return LaxMatrix(site=n, lam=complex(lam), blocks=np.array([[l11, l12], [l21, l22]]))
 
 
-def _block_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Product of two 2 x 2 arrays of operator blocks."""
-    out = np.empty_like(left)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = left[i, 0] @ right[0, j] + left[i, 1] @ right[1, j]
-    return out
-
-
 def monodromy(params: ModelParams, lam: complex) -> MonodromyMatrix:
     """Ordered product L_N(l) ... L_1(l) with entries on the full space."""
-    blocks = None
-    for n in range(1, params.N + 1):
+    blocks = lax(params, 1, lam).blocks
+    for n in range(2, params.N + 1):
         local = lax(params, n, lam).blocks
-        glob = np.array([[embed(local[i, j], n, params) for j in range(2)] for i in range(2)])
-        blocks = glob if blocks is None else _block_product(glob, blocks)
+        dim = blocks.shape[-1] * params.p
+        # a, c index sites 1..n-1 (slow), b, d index site n (fast)
+        blocks = np.einsum("ikbd,kjac->ijabcd", local, blocks).reshape(2, 2, dim, dim)
     return MonodromyMatrix(
         lam=complex(lam), A=blocks[0, 0], B=blocks[0, 1], C=blocks[1, 0], D=blocks[1, 1]
     )

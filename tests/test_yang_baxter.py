@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgsov import lax, make_params, monodromy, r_matrix, transfer, verify_rll
+from sgsov import embed, lax, make_params, monodromy, r_matrix, transfer, verify_rll
 from sgsov import laurent
 from sgsov.yang_baxter import (
     b_commutator_residual,
@@ -120,3 +122,54 @@ def test_monodromy_entries_laurent(params7, rng):
     predicted = laurent.evaluate(coeffs, powers, lams[2 * N + 1 :])
     scale = np.max(np.abs(values[2 * N + 1 :]))
     assert np.max(np.abs(predicted - values[2 * N + 1 :])) / scale < 1e-9
+
+
+def _embedded_monodromy(params, lam):
+    """M(l) multiplied out from Lax entries embedded into the full space."""
+    total = None
+    for n in range(1, params.N + 1):
+        local = lax(params, n, lam).blocks
+        site = np.array([[embed(local[i, j], n, params) for j in range(2)] for i in range(2)])
+        total = site if total is None else (site[:, :, None] @ total[None]).sum(axis=1)
+    return total
+
+
+def _assert_matches_embedded(params, lam):
+    mono = monodromy(params, lam)
+    built = np.array([[mono.A, mono.B], [mono.C, mono.D]])
+    ref = _embedded_monodromy(params, lam)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(built, ref, rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_array_equal(transfer(params, lam), mono.A + mono.D)
+
+
+@pytest.mark.parametrize("N,p,complex_couplings", [(3, 3, True), (3, 5, False), (5, 3, False)])
+def test_monodromy_matches_embedded_product(N, p, complex_couplings, rng):
+    kappa = rng.uniform(0.5, 2.0, N)
+    xi = rng.uniform(0.5, 2.0, N)
+    if complex_couplings:
+        kappa = kappa * np.exp(1j * rng.uniform(-0.6, 0.6, N))
+        xi = xi * np.exp(1j * rng.uniform(-0.6, 0.6, N))
+    params = make_params(N, p, 2, kappa, xi)
+    for lam in laurent.sample_annulus(rng, 2):
+        _assert_matches_embedded(params, lam)
+
+
+def _polar(phase_bound):
+    return st.builds(lambda r, phi: r * np.exp(1j * phi),
+                     st.floats(0.5, 2.0), st.floats(-phase_bound, phase_bound))
+
+
+@st.composite
+def _instances(draw):
+    N, p = draw(st.sampled_from([(1, 3), (3, 3), (1, 5)]))
+    couplings = _polar(draw(st.sampled_from([0.0, 0.6])))
+    kappa = draw(st.lists(couplings, min_size=N, max_size=N))
+    xi = draw(st.lists(couplings, min_size=N, max_size=N))
+    return make_params(N, p, 2, kappa, xi), draw(_polar(np.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances())
+def test_monodromy_matches_embedded_product_property(instance):
+    _assert_matches_embedded(*instance)
