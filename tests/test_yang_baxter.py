@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgsov import embed, lax, make_params, monodromy, r_matrix, transfer, verify_rll
@@ -140,17 +140,13 @@ def _assert_matches_embedded(params, lam):
     ref = _embedded_monodromy(params, lam)
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(built, ref, rtol=1e-13, atol=1e-13 * scale)
-    np.testing.assert_array_equal(transfer(params, lam), mono.A + mono.D)
+    np.testing.assert_allclose(transfer(params, lam), ref[0, 0] + ref[1, 1],
+                               rtol=1e-13, atol=1e-13 * scale)
 
 
-@pytest.mark.parametrize("N,p,complex_couplings", [(3, 3, True), (3, 5, False), (5, 3, False)])
-def test_monodromy_matches_embedded_product(N, p, complex_couplings, rng):
-    kappa = rng.uniform(0.5, 2.0, N)
-    xi = rng.uniform(0.5, 2.0, N)
-    if complex_couplings:
-        kappa = kappa * np.exp(1j * rng.uniform(-0.6, 0.6, N))
-        xi = xi * np.exp(1j * rng.uniform(-0.6, 0.6, N))
-    params = make_params(N, p, 2, kappa, xi)
+@pytest.mark.parametrize("N,p", [(3, 5), (5, 3)])
+def test_monodromy_matches_embedded_product(N, p, rng):
+    params = make_params(N, p, 2, rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N))
     for lam in laurent.sample_annulus(rng, 2):
         _assert_matches_embedded(params, lam)
 
@@ -171,5 +167,7 @@ def _instances(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_instances())
+@example((make_params(3, 3, 2, [1.2 + 0.4j, 0.7 - 0.3j, 1.6 + 0.1j],
+                      [0.9 - 0.5j, 1.4 + 0.2j, 0.6 + 0.3j]), 0.8 * np.exp(0.7j)))
 def test_monodromy_matches_embedded_product_property(instance):
     _assert_matches_embedded(*instance)
