@@ -41,6 +41,10 @@ variants (entry quadratic in Q_t, unshifted dual argument, weights at
 y_a(c), q-power offsets) all fail the same cross-validation and are
 rejected by the test suite.
 
+Form factors are computed one row at a time: one dual state t' against
+all states t in one broadcast step, multiplying the factors in the same
+order as for a single pair, so a row has the bits of its pairs.
+
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
 products, and the u_1 column above holds with an extra factor of -1 per
@@ -53,6 +57,8 @@ parity test; see its docstring.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -100,6 +106,16 @@ def build_coeigenstate(frame: SOVFrame, q_function: QFunction) -> np.ndarray:
     return coeff @ frame.left
 
 
+def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.ndarray:
+    """The single-grid-point weight w(y) of the u1 last column (module docstring)."""
+    xi1, kap1 = params.xi[0], params.kappa[0]
+    denom_const = np.prod(params.kappa[1:] / 1j)
+    return (
+        params.q_half * xi1 * y ** (params.N + 1) * coeffs.a(y)
+        / (denom_const * (params.q * (xi1 * kap1) ** 2 + y ** 2))
+    )
+
+
 def ff_coefficients(
     operator_tag: str,
     params: ModelParams,
@@ -136,12 +152,7 @@ def ff_coefficients(
         raise DegenerateModelError(
             "dual Q-function vanishes on a grid point: last form-factor column undefined"
         )
-    xi1, kap1 = params.xi[0], params.kappa[0]
-    denom_const = np.prod(params.kappa[1:] / 1j)
-    weight = (
-        params.q_half * xi1 * y_next ** (N + 1) * coeffs.a(y_next)
-        / (denom_const * (params.q * (xi1 * kap1) ** 2 + y_next ** 2))
-    )
+    weight = _u1_weight(params, coeffs, y_next)
     # the moment prefactor (y_a(c))^(2N-1) and the unshifted dual factor are
     # part of the generic Phi assembly; divide them back out of the table
     table[:, N - 1, :] = weight * qtp_next / (qtp_c * y_c ** (2 * N - 1))
@@ -150,11 +161,11 @@ def ff_coefficients(
 
 def _phi_terms(
     frame: SOVFrame,
-    t: TransferEigenpair,
+    ts: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str | np.ndarray,
 ) -> np.ndarray:
-    """Individual c-terms of the moment matrix, shape (N, N, p).
+    """Individual c-terms of the moment matrices, shape (len(ts), N, N, p).
 
     The built-in ``u1`` last column is assembled directly from its
     bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which stays
@@ -163,21 +174,21 @@ def _phi_terms(
     exist.
     """
     _require_calibrated(frame)
-    if t.q_function is None or tp.q_function is None:
+    q_fns = [t.q_function for t in ([ts] if isinstance(ts, TransferEigenpair) else ts)]
+    if tp.q_function is None or None in q_fns:
         raise ValueError("both eigenpairs need attached Q-functions")
     params, avg = frame.params, frame.avg
     N, p = params.N, params.p
     cs = np.arange(1, p + 1)
     ks = cs % p
-    qt_c = t.q_function.grid_values[:, ks]        # (N, p)
+    qt_c = np.array([q.grid_values for q in q_fns])[:, :, ks]  # (len(ts), N, p)
     qtp_c = tp.q_function.neg_grid_values[:, ks]  # (N, p)
     b_exp = 2 * np.arange(1, N + 1) - 1           # (N,)
     phase = params.q ** np.outer(b_exp, cs)       # (N, p)
 
     tag = operator_tag if isinstance(operator_tag, str) else None
     if tag == "u1":
-        y_c = avg.grids[:, ks]
-        table = y_c[:, None, :] * np.ones((1, N, 1))
+        table = avg.grids[:, ks][:, None, :] * np.ones((1, N, 1))
     elif tag == "identity":
         table = np.ones((N, N, p), dtype=complex)
     elif tag is None:
@@ -189,64 +200,60 @@ def _phi_terms(
 
     terms = (
         table
-        * qt_c[:, None, :]
+        * qt_c[:, :, None, :]
         * qtp_c[:, None, :]
         * phase[None, :, :]
         * avg.y0[:, None, None] ** b_exp[None, :, None]
     )
     if tag == "u1":
         ks_next = (cs + 1) % p
-        y_next = avg.grids[:, ks_next]
-        qtp_next = tp.q_function.neg_grid_values[:, ks_next]
-        xi1, kap1 = params.xi[0], params.kappa[0]
-        denom_const = np.prod(params.kappa[1:] / 1j)
-        coeffs = BaxterCoeffs(params)
-        weight = (
-            params.q_half * xi1 * y_next ** (N + 1) * coeffs.a(y_next)
-            / (denom_const * (params.q * (xi1 * kap1) ** 2 + y_next ** 2))
-        )
-        terms[:, N - 1, :] = weight * qt_c * qtp_next
+        weight = _u1_weight(params, BaxterCoeffs(params), avg.grids[:, ks_next])
+        terms[:, :, N - 1, :] = weight * qt_c * tp.q_function.neg_grid_values[:, ks_next]
     return terms
 
 
 def form_factor_matrix(
     frame: SOVFrame,
-    t: TransferEigenpair,
+    t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str | np.ndarray = "identity",
 ) -> np.ndarray:
     """The N x N moment matrix Phi whose determinant is <t'|O|t>.
 
     ``operator_tag`` may be a tag name or a precomputed (N, N, p)
-    coefficient table.
+    coefficient table.  A sequence ``t`` gives the row, (len(t), N, N).
     """
-    return _phi_terms(frame, t, tp, operator_tag).sum(axis=2)
+    phi = _phi_terms(frame, t, tp, operator_tag).sum(axis=-1)
+    return phi[0] if isinstance(t, TransferEigenpair) else phi
 
 
 def form_factor_det_scale(
     frame: SOVFrame,
-    t: TransferEigenpair,
+    t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str | np.ndarray = "identity",
-) -> float:
+) -> float | np.ndarray:
     """Cancellation-free magnitude scale for the determinant.
 
     Entry scales are the summed magnitudes of the c-terms; the returned
     value is their Hadamard bound (product of column norms), the natural
-    yardstick for declaring a determinant 'numerically zero'.
+    yardstick for declaring a determinant 'numerically zero'; one per t.
     """
-    scale = np.abs(_phi_terms(frame, t, tp, operator_tag)).sum(axis=2)
-    return float(np.prod(np.linalg.norm(scale, axis=0)))
+    scale = np.abs(_phi_terms(frame, t, tp, operator_tag)).sum(axis=-1)
+    bound = np.prod(np.linalg.norm(scale, axis=-2), axis=-1)
+    return float(bound[0]) if isinstance(t, TransferEigenpair) else bound
 
 
 def form_factor(
     frame: SOVFrame,
-    t: TransferEigenpair,
+    t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str | np.ndarray = "identity",
-) -> complex:
-    """Determinant form factor <t'|O|t> in the frame's normalisation."""
-    return complex(np.linalg.det(form_factor_matrix(frame, t, tp, operator_tag)))
+) -> complex | np.ndarray:
+    """Determinant form factor <t'|O|t> in the frame's normalisation (a row
+    of them for a sequence ``t``)."""
+    dets = np.linalg.det(form_factor_matrix(frame, t, tp, operator_tag))
+    return complex(dets) if isinstance(t, TransferEigenpair) else dets
 
 
 def direct_matrix_element(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .averages import AverageData, compute_grids
+from .errors import DegenerateModelError
 from .model import ModelParams
 from .observables import (
     build_coeigenstate,
@@ -87,13 +88,8 @@ class ModelSolution:
         raise ValueError(f"unknown operator tag {tag!r}")
 
     def form_factor_table(self, tag: str) -> np.ndarray:
-        """Determinant values det Phi indexed [t', t] over all pairs."""
-        dim = self.dim
-        out = np.empty((dim, dim), dtype=complex)
-        for jp, tp in enumerate(self.pairs):
-            for j, t in enumerate(self.pairs):
-                out[jp, j] = form_factor(self.frame, t, tp, tag)
-        return out
+        """Determinant values det Phi indexed [t', t], one row (dual t') per step."""
+        return np.stack([form_factor(self.frame, self.pairs, tp, tag) for tp in self.pairs])
 
     def direct_table(self, tag: str) -> np.ndarray:
         """Brute-force matrix elements over matched oracle states, [t', t]."""
@@ -217,6 +213,6 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
         parity = _shift_parity(flipped)
         if abs(parity - 1) < 1e-6:
             return flipped
-    raise RuntimeError(
+    raise DegenerateModelError(
         f"could not align the shift-generator parity (last value {parity:.6f})"
     )

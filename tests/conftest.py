@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgsov import solve
+from sgsov import make_params, solve
 from sgsov.acceptance import default_instance
 
 
@@ -25,6 +25,15 @@ def params_n1():
 @pytest.fixture(scope="session")
 def solution_n1(params_n1):
     return solve(params_n1, seed=11)
+
+
+@pytest.fixture(scope="session")
+def solution_complex():
+    """N=3, p=3 with complex couplings; one grid representative needs negating."""
+    rng = np.random.default_rng(1)
+    kappa = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
+    xi = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
+    return solve(make_params(3, 3, 2, kappa, xi), seed=1)
 
 
 @pytest.fixture()

@@ -12,11 +12,14 @@ from sgsov import (
     ff_coefficients,
     form_factor,
     form_factor_det_scale,
+    form_factor_matrix,
     label_vectors,
+    solve,
     transfer,
     u1_operator,
 )
 from sgsov import laurent
+from sgsov.acceptance import default_instance
 
 
 def test_built_states_are_eigenstates(solution7, params7, rng):
@@ -100,13 +103,10 @@ def test_form_factor_determinant_scaling(solution7, params7):
 def test_identity_determinants_reproduce_pairings(solution7, params7):
     det = solution7.form_factor_table("identity")
     direct = solution7.direct_table("identity")
-    for jp in range(params7.dim):
-        for j in range(params7.dim):
-            if jp == j:
-                continue
-            scale = form_factor_det_scale(solution7.frame, solution7.pairs[j],
-                                          solution7.pairs[jp], "identity")
-            assert abs(det[jp, j]) / scale < 1e-8
+    for jp, tp in enumerate(solution7.pairs):
+        scale = form_factor_det_scale(solution7.frame, solution7.pairs, tp, "identity")
+        off = np.delete(np.abs(det[jp]) / scale, jp)
+        assert np.max(off) < 1e-8
     ratios = np.diag(det) / np.diag(direct)
     assert np.max(np.abs(ratios / ratios.mean() - 1)) < 1e-6
 
@@ -171,3 +171,74 @@ def test_u1_operator_structure(params7):
     e = np.zeros(params7.dim)
     e[9] = 1.0  # |1,0,0>
     assert np.argmax(np.abs(op @ e)) == 0  # maps to |0,0,0>
+
+
+@pytest.fixture(scope="module", params=["n3p3-complex", "n1p3", "n3p5"])
+def any_solution(request):
+    if request.param == "n3p5":
+        return solve(default_instance(seed=7, N=3, p=5), seed=7)
+    return request.getfixturevalue(
+        "solution_complex" if request.param == "n3p3-complex" else "solution_n1")
+
+
+def _reference_table(sol, tag):
+    """det Phi indexed [t', t], each Phi[a, b] summed term by term over c
+    from the formula of the module docstring, and the Hadamard bound of
+    the summed term magnitudes, the scale of the determinant's rounding."""
+    params, avg = sol.params, sol.avg
+    N, p, q = params.N, params.p, params.q
+    ys = avg.grids[:, np.arange(p + 2) % p]                   # y_a(c), c = 0..p+1
+    q_t = np.array([pr.q_function(ys) for pr in sol.pairs])   # Q_t(y_a(c))
+    q_d = np.array([pr.q_function(-ys) for pr in sol.pairs])  # Q_t'(-y_a(c))
+    xi1, kap1 = params.xi[0], params.kappa[0]
+    phi = np.zeros((params.dim, params.dim, N, N), dtype=complex)
+    mag = np.zeros(phi.shape)
+    for a in range(N):
+        for b in range(1, N + 1):
+            for c in range(1, p + 1):
+                if tag == "u1" and b == N:
+                    y = ys[a, c + 1]
+                    w = (params.q_half * xi1 * y ** (N + 1) * sol.coeffs.a(y)
+                         / (np.prod(params.kappa[1:] / 1j) * (q * (xi1 * kap1) ** 2 + y ** 2)))
+                    term = w * np.outer(q_d[:, a, c + 1], q_t[:, a, c])
+                else:
+                    f = ys[a, c] if tag == "u1" else 1.0
+                    term = (avg.y0[a] ** (2 * b - 1) * f * q ** ((2 * b - 1) * c)
+                            * np.outer(q_d[:, a, c], q_t[:, a, c]))
+                phi[:, :, a, b - 1] += term
+                mag[:, :, a, b - 1] += np.abs(term)
+    return np.linalg.det(phi), np.prod(np.linalg.norm(mag, axis=2), axis=2)
+
+
+@pytest.mark.parametrize("tag", ["identity", "u1"])
+def test_tables_match_entrywise_reference(any_solution, tag):
+    ref, bound = _reference_table(any_solution, tag)
+    got = any_solution.form_factor_table(tag)
+    # errors relative to the largest determinant of the row, except where
+    # the determinant vanishes (identity off the diagonal): there both sides
+    # are rounding noise of cancelling terms, measured against their bound
+    scale = np.abs(ref).max(axis=1, keepdims=True) * np.ones_like(bound)
+    if tag == "identity":
+        off = ~np.eye(len(ref), dtype=bool)
+        scale[off] = bound[off]
+    assert np.max(np.abs(got - ref) / scale) < 1e-12
+
+
+def test_row_form_factors_match_single_pairs(solution7, params7):
+    frame, pairs = solution7.frame, solution7.pairs
+    t, tp = pairs[4], pairs[9]
+    for tag in ("identity", "u1"):
+        assert form_factor(frame, [t], tp, tag)[0] == form_factor(frame, t, tp, tag)
+        assert np.array_equal(form_factor(frame, pairs, tp, tag),
+                              [form_factor(frame, s, tp, tag) for s in pairs])
+        assert form_factor_det_scale(frame, [t], tp, tag)[0] == form_factor_det_scale(
+            frame, t, tp, tag)
+        assert np.array_equal(form_factor_matrix(frame, [t], tp, tag)[0],
+                              form_factor_matrix(frame, t, tp, tag))
+    # a user-supplied table applies to every state of a row
+    table = np.ones((params7.N, params7.N, params7.p), dtype=complex)
+    row = form_factor(frame, pairs, tp, table)
+    assert row.shape == (params7.dim,)
+    assert np.array_equal(row, form_factor(frame, pairs, tp, "identity"))
+    assert form_factor_matrix(frame, pairs, tp, table).shape == (params7.dim, params7.N,
+                                                                 params7.N)

@@ -1,21 +1,16 @@
 import numpy as np
+import pytest
 
-from sgsov import make_params, solve
-
-
-def _complex_instance(seed):
-    rng = np.random.default_rng(seed)
-    kappa = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
-    xi = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
-    return make_params(3, 3, 2, kappa, xi)
+from sgsov import DegenerateModelError, pipeline, solve
+from sgsov.acceptance import default_instance
+from sgsov.cli import main
 
 
-def test_parity_alignment_for_complex_couplings():
+def test_parity_alignment_for_complex_couplings(solution_complex):
     # this instance needs one grid representative negated before the
     # shift-generator determinant identity holds; solve() finds the
     # alignment on its own and everything downstream stays consistent
-    params = _complex_instance(1)
-    sol = solve(params, seed=1)
+    sol = solution_complex
     assert np.any(np.angle(sol.avg.Z) < -1e-9)  # a flip actually happened
 
     assert sol.right_overlaps.min() > 1 - 1e-8
@@ -37,3 +32,12 @@ def test_solve_is_deterministic(params7, solution7):
     assert np.array_equal(again.built_right, solution7.built_right)
     assert np.array_equal(again.matched_left, solution7.matched_left)
     assert again.reference_index == solution7.reference_index
+
+
+def test_parity_failure_is_degenerate(monkeypatch, capsys):
+    # no grid representative aligns the parity: a stated degenerate case
+    # (exit code 4), not an internal error
+    monkeypatch.setattr(pipeline, "_shift_parity", lambda sol: -1.0)
+    with pytest.raises(DegenerateModelError, match="shift-generator parity"):
+        solve(default_instance(seed=11, N=1), seed=11)
+    assert main(["--n-sites", "1", "--seed", "11", "formfactors"]) == 4
