@@ -26,7 +26,7 @@ coeffs = baxter_coeffs(params)
 oracle = oracle_spectrum(params, seed=3)
 
 print(f"spectrum: {len(oracle)} eigenvalue functions on dim {params.dim}")
-print(f"  joint-diagonalisation leakage: {oracle.leakage:.2e}")
+print(f"  joint-diagonalisation residual: {oracle.residual:.2e}")
 print(f"  min coefficient-vector gap (simplicity): {oracle.min_coeff_gap:.3f}")
 print(f"  worst held-out Laurent fit: {max(p.fit_residual for p in oracle.pairs):.2e}")
 print(f"  worst imaginary residue of coefficients: "

@@ -16,7 +16,9 @@ Each Lax entry acts on one tensor factor, so the product is built site
 by site as a sum of Kronecker products: the partial monodromy over
 sites 1..n is P_n[i,j] = sum_k P_{n-1}[k,j] (x) L_n[i,k], O(dim^2) work
 per site.  Site 1 stays the slowest tensor factor, the ordering of
-:func:`sgsov.model.embed`.
+:func:`sgsov.model.embed`.  :func:`transfer` and :func:`b_operator`
+contract the last site only into the blocks they return (the auxiliary
+trace, or the (0, 1) block), never forming the other entries.
 
 The auxiliary R-matrix is the symmetric trigonometric 6-vertex matrix in
 the multiplicative spectral parameter x = l/m with anisotropy parameter
@@ -93,14 +95,20 @@ def lax(params: ModelParams, n: int, lam: complex) -> LaxMatrix:
     return LaxMatrix(site=n, lam=complex(lam), blocks=np.array([[l11, l12], [l21, l22]]))
 
 
-def monodromy(params: ModelParams, lam: complex) -> MonodromyMatrix:
-    """Ordered product L_N(l) ... L_1(l) with entries on the full space."""
-    blocks = lax(params, 1, lam).blocks
-    for n in range(2, params.N + 1):
+def _partial_monodromy(params: ModelParams, lam: complex, n_sites: int) -> np.ndarray:
+    """Blocks of L_n(l) ... L_1(l), n = ``n_sites`` >= 0, from identity blocks on C^1."""
+    blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    for n in range(1, n_sites + 1):
         local = lax(params, n, lam).blocks
         dim = blocks.shape[-1] * params.p
         # a, c index sites 1..n-1 (slow), b, d index site n (fast)
         blocks = np.einsum("ikbd,kjac->ijabcd", local, blocks).reshape(2, 2, dim, dim)
+    return blocks
+
+
+def monodromy(params: ModelParams, lam: complex) -> MonodromyMatrix:
+    """Ordered product L_N(l) ... L_1(l) with entries on the full space."""
+    blocks = _partial_monodromy(params, lam, params.N)
     return MonodromyMatrix(
         lam=complex(lam), A=blocks[0, 0], B=blocks[0, 1], C=blocks[1, 0], D=blocks[1, 1]
     )
@@ -108,13 +116,16 @@ def monodromy(params: ModelParams, lam: complex) -> MonodromyMatrix:
 
 def transfer(params: ModelParams, lam: complex) -> np.ndarray:
     """Transfer matrix T(l) = A(l) + D(l)."""
-    m = monodromy(params, lam)
-    return m.A + m.D
+    local = lax(params, params.N, lam).blocks
+    blocks = _partial_monodromy(params, lam, params.N - 1)
+    return np.einsum("ikbd,kiac->abcd", local, blocks).reshape(params.dim, params.dim)
 
 
 def b_operator(params: ModelParams, lam: complex) -> np.ndarray:
     """Off-diagonal generator B(l) whose operator zeros separate variables."""
-    return monodromy(params, lam).B
+    local = lax(params, params.N, lam).blocks
+    blocks = _partial_monodromy(params, lam, params.N - 1)
+    return np.einsum("kbd,kac->abcd", local[0], blocks[:, 1]).reshape(params.dim, params.dim)
 
 
 def r_matrix(params: ModelParams, ratio: complex) -> np.ndarray:

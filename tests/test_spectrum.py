@@ -11,7 +11,7 @@ from sgsov import (
     transfer,
 )
 from sgsov import laurent
-from sgsov.spectrum import ab_initio_spectrum
+from sgsov.spectrum import ab_initio_spectrum, simultaneous_eig
 
 
 def test_baxter_coefficient_zeros(params7):
@@ -36,7 +36,17 @@ def test_oracle_spectrum_complete_and_distinct(solution7, params7):
     assert len(oracle) == params7.dim
     assert oracle.min_coeff_gap > 1e-8
     assert max(pr.fit_residual for pr in oracle.pairs) < 1e-9
-    assert oracle.leakage < 1e-10
+    assert oracle.residual < 1e-10
+
+
+def test_simultaneous_eig_residual_flags_noncommuting_member(params7, rng):
+    ops = [transfer(params7, lam) for lam in laurent.sample_annulus(rng, params7.N + 2)]
+    noise = rng.standard_normal(ops[0].shape) + 1j * rng.standard_normal(ops[0].shape)
+    perturbed = [ops[0] + 1e-6 * np.linalg.norm(ops[0]) * noise / np.linalg.norm(noise)]
+    tol, collision = params7.tol("simdiag"), params7.tol("eig_collision")
+    *_, clean = simultaneous_eig(ops, np.random.default_rng(1), collision)
+    *_, broken = simultaneous_eig(perturbed + ops[1:], np.random.default_rng(1), collision)
+    assert clean < tol < broken
 
 
 def test_oracle_reality_for_real_couplings(solution7):

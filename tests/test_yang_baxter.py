@@ -3,7 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgsov import embed, lax, make_params, monodromy, r_matrix, transfer, verify_rll
+from sgsov import (
+    b_operator,
+    embed,
+    lax,
+    make_params,
+    monodromy,
+    r_matrix,
+    transfer,
+    verify_rll,
+)
 from sgsov import laurent
 from sgsov.yang_baxter import (
     b_commutator_residual,
@@ -140,8 +149,14 @@ def _assert_matches_embedded(params, lam):
     ref = _embedded_monodromy(params, lam)
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(built, ref, rtol=1e-13, atol=1e-13 * scale)
-    np.testing.assert_allclose(transfer(params, lam), ref[0, 0] + ref[1, 1],
-                               rtol=1e-13, atol=1e-13 * scale)
+    t_op, b_op = transfer(params, lam), b_operator(params, lam)
+    np.testing.assert_allclose(t_op, ref[0, 0] + ref[1, 1], rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_allclose(b_op, ref[0, 1], rtol=1e-13, atol=1e-13 * scale)
+    # bit for bit: the diagonal Lax blocks shift the site index and the
+    # off-diagonal ones keep it, so each entry sums at most two nonzero
+    # products, in the same order as A + D and B
+    assert np.array_equal(t_op, mono.A + mono.D)
+    assert np.array_equal(b_op, mono.B)
 
 
 @pytest.mark.parametrize("N,p", [(3, 5), (5, 3)])
