@@ -19,8 +19,6 @@ from .model import DEFAULT_TOLERANCES, ModelParams, clock_matrix, embed, make_pa
 from .observables import (
     build_coeigenstate,
     build_eigenstate,
-    direct_matrix_element,
-    ff_coefficients,
     form_factor,
     form_factor_det_scale,
     form_factor_matrix,

@@ -74,9 +74,10 @@ def default_instance(
     return make_params(N, p, p_prime, kappa, xi, tolerances=tolerances)
 
 
-def criterion_rll(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 10) -> CriterionResult:
+def criterion_rll(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """RLL exchange relation per site at random spectral-parameter pairs."""
     t0 = time.perf_counter()
+    n_pairs = 10
     params = sol.params
     tol = params.tol("rll")
     worst = 0.0
@@ -95,9 +96,10 @@ def criterion_rll(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 1
     )
 
 
-def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generator, n_pairs: int = 10) -> CriterionResult:
+def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """[T(l), T(m)] = 0 at random pairs, relative Frobenius norm."""
     t0 = time.perf_counter()
+    n_pairs = 10
     params = sol.params
     tol = params.tol("commutator")
     worst = 0.0
@@ -115,9 +117,10 @@ def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generato
     )
 
 
-def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator, n_points: int = 5) -> CriterionResult:
+def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Averaged B is the closed-form central scalar and commutes with A, D, T."""
     t0 = time.perf_counter()
+    n_points = 5
     params, avg = sol.params, sol.avg
     scalar_tol = params.tol("average_scalar")
     central_tol = params.tol("centrality")
@@ -205,9 +208,10 @@ def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> Criteri
     )
 
 
-def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator, n_perturbed: int = 20) -> CriterionResult:
+def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Simplicity, eigenvalue-class fit, and grid determinant quantisation."""
     t0 = time.perf_counter()
+    n_perturbed = 20
     params = sol.params
     fit_tol = params.tol("fit")
     det_tol = params.tol("det_zero")
@@ -249,9 +253,10 @@ def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator, n_perturbed
     )
 
 
-def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator, n_offgrid: int = 20) -> CriterionResult:
+def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Q degree bound, joint grid residual, and functional TQ residual."""
     t0 = time.perf_counter()
+    n_offgrid = 20
     params = sol.params
     q_tol = params.tol("q_fit")
     tq_tol = params.tol("tq")
@@ -293,9 +298,10 @@ def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator, n_offgri
     )
 
 
-def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator, n_lambda: int = 5) -> CriterionResult:
+def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
     """Built states match oracle vectors and are transfer eigenstates."""
     t0 = time.perf_counter()
+    n_lambda = 5
     params = sol.params
     ov_tol = params.tol("overlap")
     res_tol = params.tol("eigenstate")

@@ -13,9 +13,23 @@ as  B_avg(L) = (F(-L) - F(L))/2  and  A_avg(L) = (F(-L) + F(L))/2.
 
 The zeros of B_avg determine the separation grids: L^N B_avg(L) is an even
 polynomial of degree 2N whose zeros come in +- pairs.  One representative
-Z_n with arg(Z_n) in [0, pi) is kept per pair (any consistent choice only
-relabels grid points), y_n0 is its principal p-th root, and the grid of
-variable n is  y_n(k) = y_n0 q^k, k = 0..p-1.
+Z_n with arg(Z_n) in [0, pi) is kept per pair, y_n0 is its principal p-th
+root, and the grid of variable n is  y_n(k) = y_n0 q^k, k = 0..p-1.
+
+Product rule.  The signs of the representatives are not free: the
+shift-generator form factors (see :mod:`sgsov.observables`) hold only for
+prod_n Z_n = +prod_r xi_r^p.  Vieta's formula on the degree-N polynomial
+in W = L^2, prod_n W_n = (-1)^N c_0 / c_N, fixes the square of that
+product: c_0 = -prod_r (kappa_r xi_r / i)^p, and c_N is c_0 times
+prod_r alpha_r beta_r = (-1)^N / prod_r xi_r^(2p), where alpha_r, beta_r
+are the two linear coefficients of site r in F (the phase (-1)^(p'/2) i^p
+squares to -1 for odd p), so
+
+    prod_n Z_n^2 = prod_n W_n = prod_r xi_r^(2p),
+
+and prod_n Z_n = +-prod_r xi_r^p.  Negating any one Z_n flips the sign;
+:func:`compute_grids` negates Z_1 when the arg rule lands on the minus
+sign.
 """
 
 from __future__ import annotations
@@ -91,7 +105,6 @@ def average_operator(
     family: Callable[[complex], np.ndarray],
     Lambda: complex,
     params: ModelParams,
-    commute_tol: float | None = None,
 ) -> np.ndarray:
     """p-fold product of ``family`` over the points q^k l, k = 1..p.
 
@@ -102,7 +115,7 @@ def average_operator(
     """
     if Lambda == 0:
         raise ValueError("Lambda must be nonzero")
-    tol = params.tol("commutator") if commute_tol is None else commute_tol
+    tol = params.tol("commutator")
     lam = np.exp(np.log(complex(Lambda)) / params.p)
     ops = [family(params.q ** k * lam) for k in range(1, params.p + 1)]
     for j in range(len(ops)):
@@ -127,7 +140,8 @@ class AverageData:
     Attributes
     ----------
     Z : (N,) complex
-        One zero per +- pair of L^N B_avg(L), with arg in [0, pi).
+        One zero per +- pair of L^N B_avg(L), with arg in [0, pi) except
+        for Z_1 when the product rule (module docstring) negates it.
     y0 : (N,) complex
         Principal p-th roots of Z; base points of the grids.
     grids : (N, p) complex
@@ -158,7 +172,7 @@ class AverageData:
         return np.concatenate([pts, -pts]) if negated else pts
 
 
-def compute_grids(params: ModelParams, sep_tol: float | None = None) -> AverageData:
+def compute_grids(params: ModelParams) -> AverageData:
     """Locate the zeros Z_n of B_avg and build the separation grids.
 
     Zeros are found as companion-matrix eigenvalues of the degree-N
@@ -167,7 +181,7 @@ def compute_grids(params: ModelParams, sep_tol: float | None = None) -> AverageD
     the form-factor formulas) are rejected as degenerate configurations.
     """
     N, p = params.N, params.p
-    tol = params.tol("grid_separation") if sep_tol is None else sep_tol
+    tol = params.tol("grid_separation")
     coeffs = b_average_coeffs(params)
     w_coeffs = coeffs[::2]  # even polynomial: coefficients in W = L^2
     if abs(w_coeffs[-1]) == 0:
@@ -202,6 +216,11 @@ def compute_grids(params: ModelParams, sep_tol: float | None = None) -> AverageD
     vals = npoly.polyval(z, coeffs)
     if np.any(np.abs(vals) > 1e-9 * mags):
         raise DegenerateModelError("zero refinement failed for the average polynomial")
+
+    # Vieta fixes prod_n Z_n / prod_r xi_r^p = +-1 up to rounding; the
+    # aligned choice is +1 (module docstring) and negating Z_1 toggles it
+    if (np.prod(z) / np.prod(params.xi ** p)).real < 0:
+        z[0] = -z[0]
 
     y0 = np.exp(np.log(z) / p)
     grids = y0[:, None] * params.q ** np.arange(p)[None, :]

@@ -200,8 +200,6 @@ def cmd_sov_basis(cfg: RunConfig):
                     "tolerance": sim_tol, "passed": sim <= sim_tol})
     records.append({"record": "condition_number",
                     "value": float(frame.diagnostics["condition_number"])})
-    records.append({"record": "label_margin",
-                    "value": float(frame.diagnostics["label_margin"])})
     for name in ("pairing_offdiag", "measure_deviation"):
         value = float(frame.diagnostics[name])
         ok &= value <= measure_tol

@@ -43,7 +43,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     # Yang-Baxter structure
     "rll": 1e-10,                 # RLL relation, relative residual
     "commutator": 1e-10,          # [T(l),T(m)] and [B(l),B(m)], relative
-    "laurent_fit": 1e-9,          # held-out error of Laurent-structure fits
     # central averages and separation grids
     "centrality": 1e-9,           # commutators of averaged B with A,D,T
     "average_scalar": 1e-8,       # operator average vs closed-form scalar
@@ -53,7 +52,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "simdiag": 1e-9,              # simultaneous-eigenvector residual
     "eig_collision": 1e-8,        # relative spectral gap in random combinations
     "label": 1e-8,                # annihilation residual defining grid labels
-    "pairing_offdiag": 1e-10,     # biorthogonality leakage
     "measure": 1e-8,              # pairing vs separate-variable measure
     # transfer spectrum and Q-functions
     "fit": 1e-9,                  # eigenvalue Laurent-class fit, held out

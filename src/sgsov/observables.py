@@ -47,13 +47,14 @@ order as for a single pair, so a row has the bits of its pairs.
 
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
-products, and the u_1 column above holds with an extra factor of -1 per
-"misaligned" variable (at a single site one shows analytically, using
-the orbit products  prod_k a(y(k)) = F(Z)  and
+products, and the u_1 column above holds only up to a global sign that
+negating any single Z_n toggles (at a single site one shows
+analytically, using the orbit products  prod_k a(y(k)) = F(Z)  and
 prod_k (A + y(k)^2) = A^p + Z^2,  that the cyclic consistency of the
-shift amplitude equals Z / xi^p, so exactly one representative works).
-:func:`sgsov.pipeline.solve` aligns the representatives with an internal
-parity test; see its docstring.
+shift amplitude equals Z / xi^p).  The representatives are aligned by
+the product rule of :mod:`sgsov.averages`, applied in
+:func:`~sgsov.averages.compute_grids`; :func:`sgsov.pipeline.solve`
+certifies the alignment with an internal parity test.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .averages import AverageData
-from .errors import DegenerateModelError
 from .model import ModelParams, embed, shift_matrix
 from .sov_basis import SOVFrame, separate_expansion
 from .spectrum import BaxterCoeffs, QFunction, TransferEigenpair
@@ -72,10 +71,8 @@ __all__ = [
     "OPERATOR_TAGS",
     "build_eigenstate",
     "build_coeigenstate",
-    "ff_coefficients",
     "form_factor_matrix",
     "form_factor",
-    "direct_matrix_element",
     "u1_operator",
 ]
 
@@ -116,62 +113,17 @@ def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.n
     )
 
 
-def ff_coefficients(
-    operator_tag: str,
-    params: ModelParams,
-    avg: AverageData,
-    coeffs: BaxterCoeffs,
-    q_t: QFunction,
-    q_tp: QFunction,
-) -> np.ndarray:
-    """Coefficient table F[a, b, c] entering the form-factor determinant.
-
-    Indices: a, b = 1..N are returned 0-based; the last axis holds
-    c = 1..p at position c-1, evaluated at the grid point y_a(c) with
-    the exponent taken mod p.  Supported tags: ``identity`` (all ones)
-    and ``u1`` (site-1 shift generator).  User-supplied tables of the
-    same shape may be passed to :func:`form_factor_matrix` directly.
-    """
-    N, p = params.N, params.p
-    if operator_tag == "identity":
-        return np.ones((N, N, p), dtype=complex)
-    if operator_tag != "u1":
-        raise ValueError(f"unknown operator tag {operator_tag!r}; known: {OPERATOR_TAGS}")
-
-    ks = np.arange(1, p + 1) % p         # grid exponent of y(c), c = 1..p
-    ks_next = (np.arange(1, p + 1) + 1) % p  # grid exponent of y(c+1)
-    y_c = avg.grids[:, ks]               # (N, p): y_a(c)
-    y_next = avg.grids[:, ks_next]       # (N, p): y_a(c+1)
-
-    table = np.empty((N, N, p), dtype=complex)
-    table[:, : N - 1, :] = y_c[:, None, :]
-
-    qtp_c = q_tp.neg_grid_values[:, ks]       # Q_t'(-y_a(c))
-    qtp_next = q_tp.neg_grid_values[:, ks_next]  # Q_t'(-y_a(c+1))
-    if np.min(np.abs(qtp_c)) < 1e-12 * np.max(np.abs(qtp_c)):
-        raise DegenerateModelError(
-            "dual Q-function vanishes on a grid point: last form-factor column undefined"
-        )
-    weight = _u1_weight(params, coeffs, y_next)
-    # the moment prefactor (y_a(c))^(2N-1) and the unshifted dual factor are
-    # part of the generic Phi assembly; divide them back out of the table
-    table[:, N - 1, :] = weight * qtp_next / (qtp_c * y_c ** (2 * N - 1))
-    return table
-
-
 def _phi_terms(
     frame: SOVFrame,
     ts: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
-    operator_tag: str | np.ndarray,
+    operator_tag: str,
 ) -> np.ndarray:
     """Individual c-terms of the moment matrices, shape (len(ts), N, N, p).
 
-    The built-in ``u1`` last column is assembled directly from its
-    bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which stays
-    finite even when the dual Q vanishes on a grid point and the
-    ratio-form coefficient table of :func:`ff_coefficients` does not
-    exist.
+    The ``u1`` last column is assembled directly from its bilinear form
+    (weight times Q_t(y(c)) Q_t'(-y(c+1))), which stays finite when the
+    dual Q vanishes on a grid point.
     """
     _require_calibrated(frame)
     q_fns = [t.q_function for t in ([ts] if isinstance(ts, TransferEigenpair) else ts)]
@@ -186,17 +138,12 @@ def _phi_terms(
     b_exp = 2 * np.arange(1, N + 1) - 1           # (N,)
     phase = params.q ** np.outer(b_exp, cs)       # (N, p)
 
-    tag = operator_tag if isinstance(operator_tag, str) else None
-    if tag == "u1":
+    if operator_tag == "u1":
         table = avg.grids[:, ks][:, None, :] * np.ones((1, N, 1))
-    elif tag == "identity":
+    elif operator_tag == "identity":
         table = np.ones((N, N, p), dtype=complex)
-    elif tag is None:
-        table = np.asarray(operator_tag, dtype=complex)
-        if table.shape != (N, N, p):
-            raise ValueError(f"coefficient table must have shape {(N, N, p)}")
     else:
-        raise ValueError(f"unknown operator tag {tag!r}; known: {OPERATOR_TAGS}")
+        raise ValueError(f"unknown operator tag {operator_tag!r}; known: {OPERATOR_TAGS}")
 
     terms = (
         table
@@ -205,7 +152,7 @@ def _phi_terms(
         * phase[None, :, :]
         * avg.y0[:, None, None] ** b_exp[None, :, None]
     )
-    if tag == "u1":
+    if operator_tag == "u1":
         ks_next = (cs + 1) % p
         weight = _u1_weight(params, BaxterCoeffs(params), avg.grids[:, ks_next])
         terms[:, :, N - 1, :] = weight * qt_c * tp.q_function.neg_grid_values[:, ks_next]
@@ -216,12 +163,12 @@ def form_factor_matrix(
     frame: SOVFrame,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
-    operator_tag: str | np.ndarray = "identity",
+    operator_tag: str = "identity",
 ) -> np.ndarray:
     """The N x N moment matrix Phi whose determinant is <t'|O|t>.
 
-    ``operator_tag`` may be a tag name or a precomputed (N, N, p)
-    coefficient table.  A sequence ``t`` gives the row, (len(t), N, N).
+    ``operator_tag`` is one of :data:`OPERATOR_TAGS`.  A sequence ``t``
+    gives the row, (len(t), N, N).
     """
     phi = _phi_terms(frame, t, tp, operator_tag).sum(axis=-1)
     return phi[0] if isinstance(t, TransferEigenpair) else phi
@@ -231,7 +178,7 @@ def form_factor_det_scale(
     frame: SOVFrame,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
-    operator_tag: str | np.ndarray = "identity",
+    operator_tag: str = "identity",
 ) -> float | np.ndarray:
     """Cancellation-free magnitude scale for the determinant.
 
@@ -248,26 +195,12 @@ def form_factor(
     frame: SOVFrame,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
-    operator_tag: str | np.ndarray = "identity",
+    operator_tag: str = "identity",
 ) -> complex | np.ndarray:
     """Determinant form factor <t'|O|t> in the frame's normalisation (a row
     of them for a sequence ``t``)."""
     dets = np.linalg.det(form_factor_matrix(frame, t, tp, operator_tag))
     return complex(dets) if isinstance(t, TransferEigenpair) else dets
-
-
-def direct_matrix_element(
-    left_vector: np.ndarray,
-    operator: np.ndarray | None,
-    right_vector: np.ndarray,
-) -> complex:
-    """Brute-force matrix element: covector . operator . vector.
-
-    ``operator=None`` stands for the identity (a plain pairing).
-    """
-    if operator is None:
-        return complex(left_vector @ right_vector)
-    return complex(left_vector @ (operator @ right_vector))
 
 
 def u1_operator(params: ModelParams) -> np.ndarray:

@@ -98,10 +98,46 @@ class ModelSolution:
         return self.matched_left @ mid
 
 
-def _assemble(params: ModelParams, seed: int, avg: AverageData,
-              base_oracle: OracleSpectrum) -> ModelSolution:
-    """One construction pass on fixed grids and a fixed brute-force spectrum."""
+def _shift_parity(sol: ModelSolution) -> complex:
+    """Internal parity of the shift-generator determinant identity.
+
+    Compares one determinant against the dense matrix element between the
+    built states themselves (no brute-force data enters).  The result is
+    +-1 up to rounding: the grid representatives Z_n are only defined up
+    to sign by their defining polynomial, and negating one of them flips
+    the parity of the last determinant column while leaving every other
+    construction intact; :func:`~sgsov.averages.compute_grids` chooses
+    the signs that give +1.
+    """
+    ref = sol.reference_index
+    op = u1_operator(sol.params)
+    row = sol.built_left[ref] @ op @ sol.built_right
+    j = int(np.argmax(np.abs(row)))
+    det = form_factor(sol.frame, sol.pairs[j], sol.pairs[ref], "u1")
+    const = form_factor(sol.frame, sol.pairs[ref], sol.pairs[ref], "identity") / (
+        sol.built_left[ref] @ sol.built_right[:, ref]
+    )
+    return complex(det / (row[j] * const))
+
+
+def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
+    """Run the full construction for one parameter set.
+
+    Steps: separation grids, brute-force spectrum, per-eigenvalue
+    Q-functions, joint B-diagonalisation, grid labelling, measure
+    normalisation, single-reference calibration, state assembly, and
+    oracle matching, in one pass.
+
+    The grids come with their representatives already aligned:
+    :func:`~sgsov.averages.compute_grids` fixes the sign of prod_n Z_n,
+    the one sign the shift-generator determinant identity sees (negating
+    any single Z_n toggles its parity).  The internal parity test (built
+    states only, no brute-force data) is kept as a certificate; a parity
+    other than +1 is reported as a degenerate configuration.
+    """
+    avg = compute_grids(params)
     seeds = np.random.SeedSequence(seed).spawn(2)
+    base_oracle = oracle_spectrum(params, seeds[0])
     coeffs = baxter_coeffs(params)
     pairs = [
         pair.with_q(q_from_t(params, avg, coeffs, pair.t_coeffs))
@@ -137,7 +173,7 @@ def _assemble(params: ModelParams, seed: int, avg: AverageData,
         s, l_overlap[j] = _match_scalar(pair.left_vector, built_left[j])
         matched_left[j] = s * pair.left_vector
 
-    return ModelSolution(
+    sol = ModelSolution(
         params=params,
         avg=avg,
         coeffs=coeffs,
@@ -151,68 +187,9 @@ def _assemble(params: ModelParams, seed: int, avg: AverageData,
         right_overlaps=r_overlap,
         left_overlaps=l_overlap,
     )
-
-
-def _shift_parity(sol: ModelSolution) -> complex:
-    """Internal parity of the shift-generator determinant identity.
-
-    Compares one determinant against the dense matrix element between the
-    built states themselves (no brute-force data enters).  The result is
-    +-1 up to rounding: the grid representatives Z_n are only defined up
-    to sign by their defining polynomial, and negating one of them flips
-    the parity of the last determinant column while leaving every other
-    construction intact.
-    """
-    ref = sol.reference_index
-    op = u1_operator(sol.params)
-    row = sol.built_left[ref] @ op @ sol.built_right
-    j = int(np.argmax(np.abs(row)))
-    det = form_factor(sol.frame, sol.pairs[j], sol.pairs[ref], "u1")
-    const = form_factor(sol.frame, sol.pairs[ref], sol.pairs[ref], "identity") / (
-        sol.built_left[ref] @ sol.built_right[:, ref]
-    )
-    return complex(det / (row[j] * const))
-
-
-def _flip_variable(avg: AverageData, n: int, params: ModelParams) -> AverageData:
-    """Negate the grid representative of variable ``n`` (0-based)."""
-    z = avg.Z.copy()
-    z[n] = -z[n]
-    y0 = np.exp(np.log(z) / params.p)
-    grids = y0[:, None] * params.q ** np.arange(params.p)[None, :]
-    return replace(avg, Z=z, y0=y0, grids=grids)
-
-
-def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
-    """Run the full construction for one parameter set.
-
-    Steps: separation grids, brute-force spectrum, per-eigenvalue
-    Q-functions, joint B-diagonalisation, grid labelling, measure
-    normalisation, single-reference calibration, state assembly, oracle
-    matching, and parity alignment of the grid representatives.
-
-    The last step settles a genuine sign freedom: each representative
-    Z_n may be negated (both signs satisfy the defining equations and
-    produce consistent bases, states and scalar products), but the
-    shift-generator determinant identity holds with parity +1 for only
-    one choice per variable.  When the internal parity test reports -1,
-    single representatives are negated and the construction repeated
-    until the identity aligns; couplings whose squared zeros are real
-    positive (e.g. any real coupling set) never need a flip.
-    """
-    avg = compute_grids(params)
-    oracle_seed = np.random.SeedSequence(seed).spawn(2)[0]
-    base_oracle = oracle_spectrum(params, oracle_seed)
-
-    sol = _assemble(params, seed, avg, base_oracle)
     parity = _shift_parity(sol)
-    if abs(parity - 1) < 1e-6:
-        return sol
-    for n in range(params.N):
-        flipped = _assemble(params, seed, _flip_variable(avg, n, params), base_oracle)
-        parity = _shift_parity(flipped)
-        if abs(parity - 1) < 1e-6:
-            return flipped
-    raise DegenerateModelError(
-        f"could not align the shift-generator parity (last value {parity:.6f})"
-    )
+    if not abs(parity - 1) < 1e-6:
+        raise DegenerateModelError(
+            f"could not align the shift-generator parity (last value {parity:.6f})"
+        )
+    return sol

@@ -115,19 +115,16 @@ def diagonalize_b_family(
     params: ModelParams,
     avg: AverageData,
     seed: int | np.random.SeedSequence = 0,
-    n_points: int | None = None,
-    max_retries: int = 5,
 ) -> SOVFrame:
-    """Joint right eigenbasis of B(l) over >= N+1 random sample points.
+    """Joint right eigenbasis of B(l) over N+1 random sample points.
 
     Left covectors are the inverse rows.  Raises when eigenvectors fail
     to be simultaneous (residual above the ``simdiag`` tolerance) or when
     random combinations keep colliding.
     """
     rng = np.random.default_rng(seed)
-    n_points = params.N + 1 if n_points is None else n_points
     lams = laurent.sample_annulus(
-        rng, n_points, avoid=avg.all_points(negated=True), min_rel_dist=1e-2
+        rng, params.N + 1, avoid=avg.all_points(negated=True), min_rel_dist=1e-2
     )
     ops = [b_operator(params, lam) for lam in lams]
 
@@ -142,7 +139,7 @@ def diagonalize_b_family(
                 )
 
     right, left, _, worst = simultaneous_eig(
-        ops, rng, collision_tol=params.tol("eig_collision"), max_retries=max_retries
+        ops, rng, collision_tol=params.tol("eig_collision")
     )
     stol = params.tol("simdiag")
     if worst > stol:
@@ -188,10 +185,8 @@ def label_vectors(frame: SOVFrame, avg: AverageData, params: ModelParams) -> SOV
 
     labels = np.argmin(resid, axis=1).T  # (dim, N)
     best = np.min(resid, axis=1)
-    second = np.partition(resid, 1, axis=1)[:, 1, :]
     if np.any(best > tol):
         raise DegenerateModelError("a variable has no annihilating grid point")
-    margin = float(np.min(second / np.maximum(best, 1e-300)))
 
     idx = np.ravel_multi_index(labels.T, (p,) * N)
     if sorted(idx) != list(range(dim)):
@@ -206,10 +201,7 @@ def label_vectors(frame: SOVFrame, avg: AverageData, params: ModelParams) -> SOV
         labels=labels,
         vandermonde=vandermonde_weights(avg.grids, labels),
     )
-    return frame.with_diagnostics(
-        label_best_residual=float(best.max()),
-        label_margin=margin,
-    )
+    return frame.with_diagnostics(label_best_residual=float(best.max()))
 
 
 def apply_measure_normalization(frame: SOVFrame) -> SOVFrame:
@@ -239,7 +231,6 @@ def apply_measure_normalization(frame: SOVFrame) -> SOVFrame:
 def calibrate_scales(
     frame: SOVFrame,
     reference: TransferEigenpair,
-    oracle_vector: np.ndarray | None = None,
 ) -> SOVFrame:
     """Fix per-vector scales from one reference eigenstate expansion.
 
@@ -262,7 +253,7 @@ def calibrate_scales(
         raise ValueError(
             "reference Q-function vanishes near a grid point; choose another reference"
         )
-    target = reference.vector if oracle_vector is None else oracle_vector
+    target = reference.vector
     weights = np.linalg.solve(frame.right, target)
     scales = weights / coeff
     right = frame.right * scales[None, :]

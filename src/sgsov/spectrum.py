@@ -56,6 +56,9 @@ __all__ = [
     "ab_initio_spectrum",
 ]
 
+#: Random combinations drawn before a colliding spectrum counts as degenerate.
+_EIG_RETRIES = 5
+
 
 class BaxterCoeffs:
     """The Laurent-polynomial coefficients a(l), d(l) of the TQ equation.
@@ -174,7 +177,6 @@ def simultaneous_eig(
     ops: Sequence[np.ndarray],
     rng: np.random.Generator,
     collision_tol: float,
-    max_retries: int = 5,
 ):
     """Joint eigenbasis of a commuting family via a random combination.
 
@@ -187,7 +189,7 @@ def simultaneous_eig(
     """
     dim = ops[0].shape[0]
     last_gap = np.inf
-    for _ in range(max_retries):
+    for _ in range(_EIG_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         combo = sum(c * op for c, op in zip(coeff, ops))
         vals, right = sla.eig(combo)
@@ -215,26 +217,23 @@ def simultaneous_eig(
 def oracle_spectrum(
     params: ModelParams,
     seed: int | np.random.SeedSequence = 0,
-    n_fit: int | None = None,
-    n_holdout: int = 3,
-    max_retries: int = 5,
 ) -> OracleSpectrum:
     """Brute-force transfer spectrum with Laurent-class eigenvalue fits.
 
-    Transfer matrices at ``n_fit`` (default N+2) random spectral
-    parameters are simultaneously diagonalised; eigenvalue samples are
-    fitted to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on
-    ``n_holdout`` held-out parameters.  Eigenpairs are sorted by
-    coefficient vectors for deterministic output.
+    Transfer matrices at N+2 random spectral parameters, plus 3 held
+    out, are simultaneously diagonalised; eigenvalue samples are fitted
+    to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on the
+    held-out parameters.  Eigenpairs are sorted by coefficient vectors
+    for deterministic output.
     """
     N = params.N
     rng = np.random.default_rng(seed)
-    n_fit = N + 2 if n_fit is None else n_fit
-    lams = laurent.sample_annulus(rng, n_fit + n_holdout)
+    n_fit = N + 2
+    lams = laurent.sample_annulus(rng, n_fit + 3)
     ops = [transfer(params, lam) for lam in lams]
 
     right, left, eigvals, residual = simultaneous_eig(
-        ops, rng, collision_tol=params.tol("eig_collision"), max_retries=max_retries
+        ops, rng, collision_tol=params.tol("eig_collision")
     )
 
     powers = laurent.transfer_powers(N)

@@ -28,12 +28,17 @@ def solution_n1(params_n1):
 
 
 @pytest.fixture(scope="session")
-def solution_complex():
+def params_complex():
     """N=3, p=3 with complex couplings; one grid representative needs negating."""
     rng = np.random.default_rng(1)
     kappa = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
     xi = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
-    return solve(make_params(3, 3, 2, kappa, xi), seed=1)
+    return make_params(3, 3, 2, kappa, xi)
+
+
+@pytest.fixture(scope="session")
+def solution_complex(params_complex):
+    return solve(params_complex, seed=1)
 
 
 @pytest.fixture()

@@ -116,16 +116,18 @@ def test_grid_separation(params7):
 
 
 def test_single_site_zero_magnitude():
-    # N=1: |Z| = |xi|^3 follows from the explicit product form
+    # N=1: |Z| = |xi|^3 follows from the explicit product form, and the
+    # product rule picks the sign: Z = xi^3
     params = make_params(1, 3, 2, [1.7], [0.8])
     avg = compute_grids(params)
     assert abs(avg.Z[0]) == pytest.approx(0.8 ** 3, rel=1e-10)
+    assert avg.Z[0] == pytest.approx(0.8 ** 3, rel=1e-10)
 
 
 def test_separation_guard_rejects(params7):
     # the genericity guard fires when the demanded separation is unmeetable
     with pytest.raises(DegenerateModelError, match="separation|repeated"):
-        compute_grids(params7, sep_tol=1.0)
+        compute_grids(params7.with_tolerances(grid_separation=1.0))
 
 
 def test_f_function_rejects_zero(params7):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from sgsov import (
-    DegenerateModelError,
     build_coeigenstate,
     build_eigenstate,
     diagonalize_b_family,
-    direct_matrix_element,
-    ff_coefficients,
     form_factor,
     form_factor_det_scale,
     form_factor_matrix,
@@ -65,24 +62,10 @@ def test_biorthogonality_of_built_states(solution7):
     assert np.max(np.abs(off)) / np.min(np.abs(diag)) < 1e-8
 
 
-def test_identity_coefficient_table(solution7, params7):
+def test_unknown_operator_tag_rejected(solution7):
     t = solution7.pairs[0]
-    table = ff_coefficients("identity", params7, solution7.avg, solution7.coeffs,
-                            t.q_function, t.q_function)
-    assert np.all(table == 1.0)
     with pytest.raises(ValueError, match="unknown operator"):
-        ff_coefficients("u2", params7, solution7.avg, solution7.coeffs,
-                        t.q_function, t.q_function)
-
-
-def test_u1_table_first_columns(solution7, params7):
-    t, tp = solution7.pairs[1], solution7.pairs[2]
-    table = ff_coefficients("u1", params7, solution7.avg, solution7.coeffs,
-                            t.q_function, tp.q_function)
-    ks = np.arange(1, params7.p + 1) % params7.p
-    y_c = solution7.avg.grids[:, ks]
-    for b in range(params7.N - 1):
-        assert np.allclose(table[:, b, :], y_c)
+        form_factor(solution7.frame, t, t, "u2")
 
 
 def test_form_factor_determinant_scaling(solution7, params7):
@@ -120,48 +103,17 @@ def test_u1_determinants_reproduce_matrix_elements(solution7, params7):
     assert np.max(np.abs(ratios / const - 1)) < 1e-6
 
 
-def test_custom_coefficient_table(solution7, params7):
-    # a user-supplied all-ones table reproduces the identity determinant
-    t, tp = solution7.pairs[3], solution7.pairs[3]
-    table = np.ones((params7.N, params7.N, params7.p), dtype=complex)
-    assert form_factor(solution7.frame, t, tp, table) == pytest.approx(
-        form_factor(solution7.frame, t, tp, "identity"))
-    with pytest.raises(ValueError, match="shape"):
-        form_factor(solution7.frame, t, tp, np.ones((2, 2, 2)))
-
-
 def test_single_site_form_factors(solution_n1, params_n1):
     # N=1 exercises the boundary case where the modified column is the
-    # whole matrix; the ratio-form table may be singular (the dual Q of one
-    # state vanishes on the negated grid) but the assembled determinant is
-    # finite and still matches the dense matrix elements
+    # whole matrix; the dual Q of one state may vanish on the negated grid,
+    # but the assembled determinant is finite and still matches the dense
+    # matrix elements
     det_id = solution_n1.form_factor_table("identity")
     direct_id = solution_n1.direct_table("identity")
     const = (np.diag(det_id) / np.diag(direct_id)).mean()
     det_u1 = solution_n1.form_factor_table("u1")
     direct_u1 = solution_n1.direct_table("u1")
     assert np.max(np.abs(det_u1 / direct_u1 / const - 1)) < 1e-6
-
-
-def test_ratio_table_guard_reports_vanishing_dual_q(solution_n1, params_n1):
-    mags = [np.min(np.abs(pr.q_function.neg_grid_values)) for pr in solution_n1.pairs]
-    j = int(np.argmin(mags))
-    if mags[j] > 1e-12:
-        pytest.skip("no vanishing dual Q at this seed")
-    tp = solution_n1.pairs[j]
-    with pytest.raises(DegenerateModelError, match="vanishes"):
-        ff_coefficients("u1", params_n1, solution_n1.avg, solution_n1.coeffs,
-                        solution_n1.pairs[0].q_function, tp.q_function)
-
-
-def test_direct_matrix_element(solution7, params7):
-    left = solution7.matched_left[2]
-    right = solution7.matched_right[:, 2]
-    assert direct_matrix_element(left, None, right) == pytest.approx(
-        complex(left @ right))
-    op = u1_operator(params7)
-    assert direct_matrix_element(left, op, right) == pytest.approx(
-        complex(left @ op @ right))
 
 
 def test_u1_operator_structure(params7):
@@ -224,7 +176,7 @@ def test_tables_match_entrywise_reference(any_solution, tag):
     assert np.max(np.abs(got - ref) / scale) < 1e-12
 
 
-def test_row_form_factors_match_single_pairs(solution7, params7):
+def test_row_form_factors_match_single_pairs(solution7):
     frame, pairs = solution7.frame, solution7.pairs
     t, tp = pairs[4], pairs[9]
     for tag in ("identity", "u1"):
@@ -235,10 +187,3 @@ def test_row_form_factors_match_single_pairs(solution7, params7):
             frame, t, tp, tag)
         assert np.array_equal(form_factor_matrix(frame, [t], tp, tag)[0],
                               form_factor_matrix(frame, t, tp, tag))
-    # a user-supplied table applies to every state of a row
-    table = np.ones((params7.N, params7.N, params7.p), dtype=complex)
-    row = form_factor(frame, pairs, tp, table)
-    assert row.shape == (params7.dim,)
-    assert np.array_equal(row, form_factor(frame, pairs, tp, "identity"))
-    assert form_factor_matrix(frame, pairs, tp, table).shape == (params7.dim, params7.N,
-                                                                 params7.N)

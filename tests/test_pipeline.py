@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from sgsov import DegenerateModelError, pipeline, solve
+from sgsov import DegenerateModelError, compute_grids, make_params, pipeline, solve
 from sgsov.acceptance import default_instance
 from sgsov.cli import main
 
 
 def test_parity_alignment_for_complex_couplings(solution_complex):
     # this instance needs one grid representative negated before the
-    # shift-generator determinant identity holds; solve() finds the
-    # alignment on its own and everything downstream stays consistent
+    # shift-generator determinant identity holds; compute_grids picks it
+    # by the product rule and everything downstream stays consistent
     sol = solution_complex
     assert np.any(np.angle(sol.avg.Z) < -1e-9)  # a flip actually happened
 
@@ -35,9 +39,66 @@ def test_solve_is_deterministic(params7, solution7):
 
 
 def test_parity_failure_is_degenerate(monkeypatch, capsys):
-    # no grid representative aligns the parity: a stated degenerate case
-    # (exit code 4), not an internal error
+    # a parity other than +1 is a stated degenerate case (exit code 4),
+    # not an internal error
     monkeypatch.setattr(pipeline, "_shift_parity", lambda sol: -1.0)
     with pytest.raises(DegenerateModelError, match="shift-generator parity"):
         solve(default_instance(seed=11, N=1), seed=11)
     assert main(["--n-sites", "1", "--seed", "11", "formfactors"]) == 4
+
+
+def test_misaligned_grids_fail_the_certificate(monkeypatch, params_complex):
+    # hand solve the grids with Z_1 negated back: the parity certificate
+    # must reject them
+    def misaligned(params):
+        avg = compute_grids(params)
+        z = avg.Z.copy()
+        z[0] = -z[0]
+        y0 = np.exp(np.log(z) / params.p)
+        grids = y0[:, None] * params.q ** np.arange(params.p)[None, :]
+        return replace(avg, Z=z, y0=y0, grids=grids)
+
+    monkeypatch.setattr(pipeline, "compute_grids", misaligned)
+    with pytest.raises(DegenerateModelError, match="shift-generator parity"):
+        solve(params_complex, seed=1)
+
+
+@st.composite
+def _complex_instances(draw):
+    N, p, p_prime = draw(st.sampled_from([(1, 3, 2), (1, 5, 4), (3, 3, 2), (3, 3, 4)]))
+    couplings = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                          st.floats(0.5, 2.0), st.floats(-1.2, 1.2))
+    kappa = draw(st.lists(couplings, min_size=N, max_size=N))
+    xi = draw(st.lists(couplings, min_size=N, max_size=N))
+    return make_params(N, p, p_prime, kappa, xi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_instances())
+def test_grids_come_aligned(params):
+    # the product rule: prod_n Z_n = +prod_r xi_r^p, so one construction
+    # pass suffices and the parity certificate reads +1
+    try:
+        avg = compute_grids(params)
+    except DegenerateModelError:
+        reject()  # e.g. repeated zeros when couplings coincide
+    ratio = np.prod(avg.Z) / np.prod(params.xi ** params.p)
+    assert abs(ratio - 1) <= 1e-12
+
+    calls = []
+    diagonalize = pipeline.diagonalize_b_family
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return diagonalize(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "diagonalize_b_family", counted)
+        try:
+            sol = solve(params, seed=1)
+        except DegenerateModelError as exc:
+            if "parity" in str(exc):
+                raise
+            reject()  # degenerate for a reason the grids do not decide
+    assert len(calls) == 1
+    assert abs(pipeline._shift_parity(sol) - 1) <= 1e-6

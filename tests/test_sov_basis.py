@@ -125,7 +125,7 @@ def test_calibration_phase_covariance(params7, solution7):
     frame = apply_measure_normalization(frame)
     ref = solution7.pairs[solution7.reference_index]
     cal1 = calibrate_scales(frame, ref)
-    cal2 = calibrate_scales(frame, ref, oracle_vector=np.exp(0.7j) * ref.vector)
+    cal2 = calibrate_scales(frame, replace(ref, vector=np.exp(0.7j) * ref.vector))
     ratio = cal2.scales / cal1.scales
     assert np.allclose(ratio, np.exp(0.7j), rtol=1e-10)
 
