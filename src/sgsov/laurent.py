@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "sample_annulus",
     "fit",
@@ -41,7 +43,8 @@ def sample_annulus(
             out.append(complex(lam))
             if len(out) == count:
                 return np.asarray(out)
-    raise RuntimeError(f"could not draw {count} separated samples in {max_tries} tries")
+    raise ConfigError(f"cannot place {count} separated samples in {r_min:g} <= |l| <= {r_max:g} "
+                      f"within {max_tries} draws")
 
 
 def transfer_powers(N: int) -> np.ndarray:

@@ -22,7 +22,9 @@ one equation, so the residual is a real consistency check.
 The brute-force spectrum ("oracle") is obtained by simultaneous
 diagonalisation of transfer matrices at several spectral parameters via
 a seeded random linear combination, with every eigenvector certified
-against each family member.
+against each family member.  The family is certified to commute with the charge
+conjugation C|k_1..k_N> = |-k_1..-k_N mod p> and diagonalised in its even and odd
+sectors; C maps B(l) to the monodromy entry C(l), so the B family is not split.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.optimize
 
 from . import laurent
 from .averages import AverageData
-from .errors import DegenerateModelError
+from .errors import DegenerateModelError, ToleranceError
 from .model import ModelParams
 from .yang_baxter import transfer
 
@@ -166,7 +168,7 @@ class OracleSpectrum:
     right: np.ndarray             # eigenvectors as columns
     left: np.ndarray              # inverse of ``right``; rows are covectors
     lambda_samples: np.ndarray
-    residual: float               # worst column residual |T w - t w| / |T|
+    residual: float               # worst column residual |T w - t w| / |T| per C-sector
     min_coeff_gap: float          # min pairwise distance of t-coefficient vectors
 
     def __len__(self) -> int:
@@ -187,7 +189,7 @@ def simultaneous_eig(
     (one row per operator) and the worst relative column residual
     |op w - t w| / |op|, from one product ``op @ right`` per operator.
     """
-    dim = ops[0].shape[0]
+    ops = np.asarray(ops)
     last_gap = np.inf
     for _ in range(_EIG_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
@@ -200,18 +202,53 @@ def simultaneous_eig(
         if last_gap < collision_tol:
             continue
         left = np.linalg.inv(right)
-        eigvals = np.empty((len(ops), dim), dtype=complex)
-        residual = 0.0
-        for i, op in enumerate(ops):
-            image = op @ right
-            eigvals[i] = np.einsum("ij,ji->i", left, image)
-            cols = np.linalg.norm(image - right * eigvals[i], axis=0)
-            residual = max(residual, float(np.max(cols) / np.linalg.norm(op)))
+        images = ops @ right
+        eigvals = np.einsum("ij,kji->ki", left, images)
+        images -= right * eigvals[:, None, :]
+        parts = images.view(float)  # real and imaginary parts side by side
+        cols = np.einsum("kij,kij->kj", parts, parts).reshape(len(ops), -1, 2).sum(axis=2)
+        residual = float(np.sqrt(np.max(cols.max(axis=1) / _sq_norms(ops))))
         return right, left, eigvals, residual
     raise DegenerateModelError(
         f"random-combination spectrum kept colliding (last gap {last_gap:.3e}); "
         "parameters appear degenerate"
     )
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each member of a stack."""
+    flat = np.ascontiguousarray(x).reshape(len(x), -1).view(float)
+    return np.einsum("ki,ki->k", flat, flat)
+
+
+def _sector_blocks(ops: Sequence[np.ndarray], order: np.ndarray, tol: float):
+    """Even and odd blocks of P^T op P for each op, certifying C op C = op.
+
+    P maps onto |0..0>, (|i> + |C(i)>)/sqrt2, (|i> - |C(i)>)/sqrt2; an asymmetry
+    |C op C - op| / |op| above ``tol`` (from the gathered blocks) raises ToleranceError.
+    """
+    n, dim = len(ops), len(order)
+    r, s = slice(1, (dim + 1) // 2), slice((dim + 1) // 2, None)
+    flat, g = (order[:, None] * dim + order).ravel(), np.empty((n, dim, dim), dtype=complex)
+    for op, out in zip(ops, g):
+        np.take(op.reshape(-1), flat, out=out.reshape(-1))
+    a, b, c, d = g[:, r, r], g[:, r, s], g[:, s, r], g[:, s, s]
+    asym = np.sqrt(2 * (_sq_norms(a - d) + _sq_norms(b - c) + _sq_norms(g[:, 0, r] - g[:, 0, s])
+                        + _sq_norms(g[:, r, 0] - g[:, s, 0])) / _sq_norms(g)).max()
+    if asym > tol:
+        raise ToleranceError(f"charge conjugation: |C T C - T| / |T| = {asym:.3e} > {tol:.1e}")
+    diag, cross, h = a + d, b + c, np.sqrt(0.5)
+    even = np.block([[g[:, :1, :1], h * (g[:, :1, r] + g[:, :1, s])],
+                     [h * (g[:, r, :1] + g[:, s, :1]), 0.5 * (diag + cross)]])
+    return even, 0.5 * (diag - cross)
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """P @ blockdiag(even, odd) in the original basis."""
+    h, out = np.sqrt(0.5), np.empty((len(order), len(order)), dtype=complex)
+    out[order] = np.block([[even[:1], np.zeros((1, len(odd)))],
+                           [h * even[1:], h * odd], [h * even[1:], -h * odd]])
+    return out
 
 
 def oracle_spectrum(
@@ -221,20 +258,28 @@ def oracle_spectrum(
     """Brute-force transfer spectrum with Laurent-class eigenvalue fits.
 
     Transfer matrices at N+2 random spectral parameters, plus 3 held
-    out, are simultaneously diagonalised; eigenvalue samples are fitted
-    to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on the
-    held-out parameters.  Eigenpairs are sorted by coefficient vectors
-    for deterministic output.
+    out, are certified C-symmetric to the ``commutator`` tolerance and
+    simultaneously diagonalised per C-sector; eigenvalue samples are fitted
+    to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on the held-out
+    parameters.  Eigenpairs of both sectors must be distinct and are sorted
+    by coefficient vectors for deterministic output.
     """
-    N = params.N
+    N, dim = params.N, params.dim
     rng = np.random.default_rng(seed)
     n_fit = N + 2
     lams = laurent.sample_annulus(rng, n_fit + 3)
-    ops = [transfer(params, lam) for lam in lams]
-
-    right, left, eigvals, residual = simultaneous_eig(
-        ops, rng, collision_tol=params.tol("eig_collision")
-    )
+    # basis order [|0..0>, representatives i < C(i), their partners C(i)]
+    shape = (params.p,) * N
+    image = np.ravel_multi_index(-np.indices(shape).reshape(N, -1) % params.p, shape)
+    order = np.concatenate([[0], reps := np.flatnonzero(np.arange(dim) < image), image[reps]])
+    step = max(1, 2**16 // dim**2)  # operators per batch of 1 MiB; each dropped once reduced
+    even, odd = (np.empty((len(lams), m, m), dtype=complex) for m in ((dim + 1) // 2, dim // 2))
+    for k in range(0, len(lams), step):
+        even[k : k + step], odd[k : k + step] = _sector_blocks(
+            [transfer(params, lam) for lam in lams[k : k + step]], order, params.tol("commutator"))
+    (right_e, left_e, vals_e, resid_e), (right_o, left_o, vals_o, resid_o) = (
+        simultaneous_eig(sector, rng, params.tol("eig_collision")) for sector in (even, odd))
+    eigvals = np.hstack([vals_e, vals_o])
 
     powers = laurent.transfer_powers(N)
     coeffs = laurent.fit(lams[:n_fit], eigvals[:n_fit], powers)  # (N, dim)
@@ -244,21 +289,21 @@ def oracle_spectrum(
 
     # deterministic ordering by stacked real/imaginary coefficient parts
     keys = np.vstack([np.round(coeffs.real, 9), np.round(coeffs.imag, 9)])
-    order = np.lexsort(keys[::-1])
-    coeffs = coeffs[:, order]
-    right = right[:, order]
-    left = left[order, :]
-    fit_resid = fit_resid[order]
+    rank = np.lexsort(keys[::-1])
+    coeffs = coeffs[:, rank]
+    right = _unfold(right_e, right_o, order)[:, rank]
+    left = _unfold(left_e.T, left_o.T, order).T[rank, :]
+    fit_resid = fit_resid[rank]
 
-    cdiff = np.linalg.norm(coeffs[:, :, None] - coeffs[:, None, :], axis=0)
+    cdiff = sum(abs(c[:, None] - c[None, :]) ** 2 for c in coeffs)  # dim^2 memory
     np.fill_diagonal(cdiff, np.inf)
-    min_gap = float(cdiff.min())
+    min_gap = float(np.sqrt(cdiff.min()))
     if min_gap < 1e-10 * np.max(np.abs(coeffs)):
         raise DegenerateModelError(
             f"two eigenvalue functions coincide (gap {min_gap:.3e}): spectrum not simple"
         )
 
-    cmax = np.max(np.abs(coeffs), axis=0)
+    imag_residue = np.max(np.abs(coeffs.imag), axis=0) / np.max(np.abs(coeffs), axis=0)
     pairs = [
         TransferEigenpair(
             label=j,
@@ -266,9 +311,9 @@ def oracle_spectrum(
             vector=right[:, j].copy(),
             left_vector=left[j, :].copy(),
             fit_residual=float(fit_resid[j]),
-            imag_residue=float(np.max(np.abs(coeffs[:, j].imag)) / cmax[j]),
+            imag_residue=float(imag_residue[j]),
         )
-        for j in range(right.shape[1])
+        for j in range(dim)
     ]
     return OracleSpectrum(
         params=params,
@@ -276,7 +321,7 @@ def oracle_spectrum(
         right=right,
         left=left,
         lambda_samples=lams,
-        residual=residual,
+        residual=max(resid_e, resid_o),
         min_coeff_gap=min_gap,
     )
 

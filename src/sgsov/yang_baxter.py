@@ -15,10 +15,12 @@ with site N leftmost, and the transfer matrix is T(l) = A(l) + D(l).
 Each Lax entry acts on one tensor factor, so the product is built site
 by site as a sum of Kronecker products: the partial monodromy over
 sites 1..n is P_n[i,j] = sum_k P_{n-1}[k,j] (x) L_n[i,k], O(dim^2) work
-per site.  Site 1 stays the slowest tensor factor, the ordering of
-:func:`sgsov.model.embed`.  :func:`transfer` and :func:`b_operator`
-contract the last site only into the blocks they return (the auxiliary
-trace, or the (0, 1) block), never forming the other entries.
+per site, site 1 the slowest factor (as in :func:`sgsov.model.embed`).
+:func:`transfer` and :func:`b_operator` contract the last site only into
+the block they return (the auxiliary trace, or the (0, 1) block).
+
+C_n|k> = |-k mod p> sends u, v to u^-1, v^-1, so C_n L_n(l) C_n = sigma_x L_n(l) sigma_x:
+charge conjugation C = C_1 x ... x C_N commutes with T(l) and maps B(l) to C(l).
 
 The auxiliary R-matrix is the symmetric trigonometric 6-vertex matrix in
 the multiplicative spectral parameter x = l/m with anisotropy parameter

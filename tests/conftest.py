@@ -1,8 +1,17 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from sgsov import make_params, solve
 from sgsov.acceptance import default_instance
+
+
+def charge_conjugation(p, n_sites=1):
+    """C = C_1 x ... x C_N with C_n |k> = |-k mod p>, built by Kronecker products."""
+    flip = np.zeros((p, p))
+    flip[(-np.arange(p)) % p, np.arange(p)] = 1.0
+    return reduce(np.kron, [flip] * n_sites)
 
 
 @pytest.fixture(scope="session")

@@ -126,3 +126,11 @@ def test_suite_single_site(capsys):
     assert summary["passed"] is True
     ids = [r["id"] for r in records if r["record"] == "criterion"]
     assert ids == [str(k) for k in range(1, 10)]
+
+
+def test_annulus_too_narrow_for_samples_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"lambda_grid": {"count": 3000, "r_min": 1.0, "r_max": 1.0001}}))
+    code = main(["--config", str(path), "--seed", "7", "qfunctions"])
+    assert code == 2
+    assert "cannot place 3000 separated samples" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sgsov import (
     baxter_coeffs,
@@ -10,7 +11,10 @@ from sgsov import (
     tq_residual,
     transfer,
 )
-from sgsov import laurent
+from conftest import charge_conjugation
+from sgsov import laurent, spectrum
+from sgsov.acceptance import default_instance
+from sgsov.errors import ToleranceError
 from sgsov.spectrum import ab_initio_spectrum, simultaneous_eig
 
 
@@ -146,3 +150,47 @@ def test_oracle_spectrum_deterministic(params7):
     b = oracle_spectrum(params7, seed=123)
     assert np.array_equal(a.right, b.right)
     assert all(np.array_equal(x.t_coeffs, y.t_coeffs) for x, y in zip(a.pairs, b.pairs))
+
+
+@pytest.fixture(scope="module", params=[None, (3, 5), (5, 3)],
+                ids=["n3p3-complex", "n3p5", "n5p3"])
+def sectored(request, params_complex):
+    params = params_complex if request.param is None else default_instance(7, *request.param)
+    return params, oracle_spectrum(params, seed=5)
+
+
+def test_sectored_oracle_columns_are_transfer_eigenvectors(sectored, rng):
+    params, oracle = sectored
+    lam = laurent.sample_annulus(rng, 1, avoid=oracle.lambda_samples)[0]
+    op = transfer(params, lam)
+    t_vals = np.array([pr.t(lam) for pr in oracle.pairs])
+    cols = np.linalg.norm(op @ oracle.right - oracle.right * t_vals, axis=0)
+    assert np.max(cols / np.linalg.norm(oracle.right, axis=0)) < 1e-12 * np.linalg.norm(op)
+    assert np.max(np.abs(oracle.left @ oracle.right - np.eye(params.dim))) < 1e-12
+
+
+def test_sectored_oracle_columns_have_charge_parity(sectored):
+    params, oracle = sectored
+    image = charge_conjugation(params.p, params.N) @ oracle.right
+    even = np.all(image == oracle.right, axis=0)
+    odd = np.all(image == -oracle.right, axis=0)
+    assert np.all(even ^ odd)
+    assert (even.sum(), odd.sum()) == ((params.dim + 1) // 2, (params.dim - 1) // 2)
+
+
+def test_oracle_rejects_charge_asymmetric_member(params7, monkeypatch):
+    # one member made C-asymmetric by 1e-8 of its norm must fail the certificate
+    built = []
+    noise_rng = np.random.default_rng(3)
+
+    def asymmetric_third(params, lam):
+        op = transfer(params, lam)
+        built.append(lam)
+        if len(built) == 3:
+            noise = noise_rng.standard_normal(op.shape) + 1j * noise_rng.standard_normal(op.shape)
+            op = op + 1e-8 * np.linalg.norm(op) * noise / np.linalg.norm(noise)
+        return op
+
+    monkeypatch.setattr(spectrum, "transfer", asymmetric_third)
+    with pytest.raises(ToleranceError, match="charge conjugation"):
+        oracle_spectrum(params7, seed=123)

@@ -14,6 +14,7 @@ from sgsov import (
     verify_rll,
 )
 from sgsov import laurent
+from conftest import charge_conjugation
 from sgsov.yang_baxter import (
     b_commutator_residual,
     monodromy_rll_residual,
@@ -35,9 +36,7 @@ def test_lax_b_block_odd_under_inversion(rng):
     params = make_params(1, 3, 2, [1.3], [0.7])
     lam = 0.8 + 0.5j
     xi = params.xi[0]
-    flip = np.zeros((3, 3))
-    for k in range(3):
-        flip[(-k) % 3, k] = 1.0
+    flip = charge_conjugation(3)
     b_at = lax(params, 1, lam).blocks[0, 1]
     b_inv = lax(params, 1, xi ** 2 / lam).blocks[0, 1]
     assert np.allclose(flip @ b_inv @ flip, -b_at, atol=1e-13)
@@ -186,3 +185,26 @@ def _instances(draw):
                       [0.9 - 0.5j, 1.4 + 0.2j, 0.6 + 0.3j]), 0.8 * np.exp(0.7j)))
 def test_monodromy_matches_embedded_product_property(instance):
     _assert_matches_embedded(*instance)
+
+
+def _relative(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances())
+def test_charge_conjugation_symmetry_property(instance):
+    # C L_n(l) C = sigma_x L_n(l) sigma_x site by site (C sends u -> u^-1 and
+    # v -> v^-1), so C M(l) C = sigma_x M(l) sigma_x: C commutes with
+    # T = A + D but maps B to the monodromy entry C(l), which differs from B
+    params, lam = instance
+    flip = charge_conjugation(params.p)
+    for n in range(1, params.N + 1):
+        blocks = lax(params, n, lam).blocks
+        assert _relative(flip @ blocks @ flip, blocks[::-1, ::-1]) < 1e-14
+    full = charge_conjugation(params.p, params.N)
+    t_op = transfer(params, lam)
+    assert _relative(full @ t_op @ full, t_op) < 1e-14
+    b_op = b_operator(params, lam)
+    assert _relative(full @ b_op @ full, monodromy(params, lam).C) < 1e-13
+    assert _relative(full @ b_op @ full, b_op) > 1e-2
