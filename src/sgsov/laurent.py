@@ -29,22 +29,24 @@ def sample_annulus(
     Radii are uniform in ``[r_min, r_max]``, phases uniform.  Points closer
     than ``min_rel_dist`` (relative to the larger magnitude) to any entry of
     ``avoid`` or to an already accepted sample are rejected and redrawn, so
-    samples stay clear of the origin, of grid points and of each other.
+    samples stay clear of the origin, of grid points and of each other;
+    each sample gets ``max_tries`` draws.
     """
-    avoid_list = [] if avoid is None else list(np.asarray(avoid, dtype=complex).ravel())
-    out: list[complex] = []
-    for _ in range(max_tries):
-        lam = rng.uniform(r_min, r_max) * np.exp(2j * np.pi * rng.uniform())
-        ok = all(
-            abs(lam - z) / max(abs(lam), abs(z)) >= min_rel_dist
-            for z in avoid_list + out
-        )
-        if ok:
-            out.append(complex(lam))
-            if len(out) == count:
-                return np.asarray(out)
-    raise ConfigError(f"cannot place {count} separated samples in {r_min:g} <= |l| <= {r_max:g} "
-                      f"within {max_tries} draws")
+    avoid = np.asarray([] if avoid is None else avoid, dtype=complex).ravel()
+    pts = np.concatenate([avoid, np.empty(count, dtype=complex)])
+    re, im = pts.real.copy(), pts.imag.copy()
+    mag = np.hypot(re, im)  # abs() of a complex scalar is the hypot of its parts
+    for n in range(len(avoid), len(pts)):
+        for _ in range(max_tries):
+            lam = rng.uniform(r_min, r_max) * np.exp(2j * np.pi * rng.uniform())
+            dist = np.hypot(lam.real - re[:n], lam.imag - im[:n])
+            if np.all(dist / np.maximum(abs(lam), mag[:n]) >= min_rel_dist):
+                break
+        else:
+            raise ConfigError(f"cannot place {count} separated samples in {r_min:g} <= |l| "
+                              f"<= {r_max:g} within {max_tries} draws per sample")
+        pts[n], re[n], im[n], mag[n] = lam, lam.real, lam.imag, abs(lam)
+    return pts[len(avoid):]
 
 
 def transfer_powers(N: int) -> np.ndarray:

@@ -25,6 +25,8 @@ a seeded random linear combination, with every eigenvector certified
 against each family member.  The family is certified to commute with the charge
 conjugation C|k_1..k_N> = |-k_1..-k_N mod p> and diagonalised in its even and odd
 sectors; C maps B(l) to the monodromy entry C(l), so the B family is not split.
+For real kappa_n, xi_n, T(l)^H = T(l*) (:mod:`sgsov.yang_baxter`), so each sector is
+diagonalised with ``eigh`` and no inverse; complex couplings take ``eig`` and ``inv``.
 """
 
 from __future__ import annotations
@@ -179,36 +181,47 @@ def simultaneous_eig(
     ops: Sequence[np.ndarray],
     rng: np.random.Generator,
     collision_tol: float,
+    hermitian: bool = False,
+    residual_tol: float = np.inf,
 ):
-    """Joint eigenbasis of a commuting family via a random combination.
+    """Joint eigenbasis of a commuting family via a random combination Z.
 
-    Draws complex coefficients, diagonalises the combination, and retries
-    with fresh coefficients when the combined spectrum has near-collisions
-    (which would let the eigensolver mix joint eigenspaces).  Returns the
-    eigenvector matrix, its inverse, the matrix of per-operator eigenvalues
-    (one row per operator) and the worst relative column residual
-    |op w - t w| / |op|, from one product ``op @ right`` per operator.
+    Diagonalises Z with ``eig`` and ``inv``; a ``hermitian`` family (closed under the
+    adjoint, as the transfer family is for real couplings) goes through (Z + Z^H)/2 with
+    ``eigh``, the inverse being the adjoint.  Redraws when the spectrum has near-collisions
+    (which would let the eigensolver mix joint eigenspaces) or the residual exceeds
+    ``residual_tol``; the caller gates the last draw's residual.  Returns the eigenvector
+    matrix, its inverse, the per-operator eigenvalues (one row per operator) and the worst
+    relative column residual |op w - t w| / |op|, from one product ``op @ right`` per
+    operator.
     """
     ops = np.asarray(ops)
     last_gap = np.inf
-    for _ in range(_EIG_RETRIES):
+    for attempt in range(_EIG_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         combo = sum(c * op for c, op in zip(coeff, ops))
-        vals, right = sla.eig(combo)
+        vals, right = (sla.eigh(0.5 * (combo + combo.conj().T), driver="evd") if hermitian
+                       else sla.eig(combo))
         diffs = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(diffs, np.inf)
         scale = max(np.max(np.abs(vals)), 1e-300)
         last_gap = diffs.min() / scale
         if last_gap < collision_tol:
             continue
-        left = np.linalg.inv(right)
+        if hermitian:  # undo to first order the mixing of near-equal real eigenvalues,
+            w = right.conj().T @ combo @ right  # using the complex spectrum of the normal Z
+            w /= np.diag(w) - np.diag(w)[:, None] + np.eye(len(w))
+            np.fill_diagonal(w, 0)
+            right += right @ (w - w.conj().T) / 2  # the skew part keeps ``right`` unitary
+        left = right.conj().T if hermitian else np.linalg.inv(right)
         images = ops @ right
         eigvals = np.einsum("ij,kji->ki", left, images)
         images -= right * eigvals[:, None, :]
         parts = images.view(float)  # real and imaginary parts side by side
         cols = np.einsum("kij,kij->kj", parts, parts).reshape(len(ops), -1, 2).sum(axis=2)
         residual = float(np.sqrt(np.max(cols.max(axis=1) / _sq_norms(ops))))
-        return right, left, eigvals, residual
+        if residual <= residual_tol or attempt == _EIG_RETRIES - 1:
+            return right, left, eigvals, residual
     raise DegenerateModelError(
         f"random-combination spectrum kept colliding (last gap {last_gap:.3e}); "
         "parameters appear degenerate"
@@ -257,12 +270,12 @@ def oracle_spectrum(
 ) -> OracleSpectrum:
     """Brute-force transfer spectrum with Laurent-class eigenvalue fits.
 
-    Transfer matrices at N+2 random spectral parameters, plus 3 held
-    out, are certified C-symmetric to the ``commutator`` tolerance and
-    simultaneously diagonalised per C-sector; eigenvalue samples are fitted
-    to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on the held-out
-    parameters.  Eigenpairs of both sectors must be distinct and are sorted
-    by coefficient vectors for deterministic output.
+    Transfer matrices at N+2 random spectral parameters, plus 3 held out, are certified
+    C-symmetric to the ``commutator`` tolerance and simultaneously diagonalised per C-sector
+    (``eigh`` for real couplings); a column residual above ``simdiag`` raises ToleranceError.
+    Eigenvalue samples are fitted to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on
+    the held-out parameters.  Eigenpairs of both sectors must be distinct and are sorted by
+    coefficient vectors for deterministic output.
     """
     N, dim = params.N, params.dim
     rng = np.random.default_rng(seed)
@@ -277,8 +290,14 @@ def oracle_spectrum(
     for k in range(0, len(lams), step):
         even[k : k + step], odd[k : k + step] = _sector_blocks(
             [transfer(params, lam) for lam in lams[k : k + step]], order, params.tol("commutator"))
+    hermitian = not (params.kappa.imag.any() or params.xi.imag.any())  # T(l)^H = T(l*)
+    sim_tol = params.tol("simdiag")
     (right_e, left_e, vals_e, resid_e), (right_o, left_o, vals_o, resid_o) = (
-        simultaneous_eig(sector, rng, params.tol("eig_collision")) for sector in (even, odd))
+        simultaneous_eig(sector, rng, params.tol("eig_collision"), hermitian, sim_tol)
+        for sector in (even, odd))
+    if max(resid_e, resid_o) > sim_tol:
+        raise ToleranceError(f"oracle simultaneous-eigenvector residual "
+                             f"{max(resid_e, resid_o):.3e} exceeds {sim_tol:.1e}")
     eigvals = np.hstack([vals_e, vals_o])
 
     powers = laurent.transfer_powers(N)

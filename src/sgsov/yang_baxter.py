@@ -22,6 +22,10 @@ the block they return (the auxiliary trace, or the (0, 1) block).
 C_n|k> = |-k mod p> sends u, v to u^-1, v^-1, so C_n L_n(l) C_n = sigma_x L_n(l) sigma_x:
 charge conjugation C = C_1 x ... x C_N commutes with T(l) and maps B(l) to C(l).
 
+u and v are unitary and v u^-1 = q u^-1 v, so for real kappa_n, xi_n (|q^1/2| = 1)
+L_11(l)^H = L_22(l*) and L_12(l)^H = -L_21(l*).  Sites act on different tensor factors,
+so A(l)^H = D(l*), B(l)^H = -C(l*) and T(l)^H = T(l*): the transfer family is self-adjoint.
+
 The auxiliary R-matrix is the symmetric trigonometric 6-vertex matrix in
 the multiplicative spectral parameter x = l/m with anisotropy parameter
 q (entries x q - 1/(x q), x - 1/x and q - 1/q).  This convention is not

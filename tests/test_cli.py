@@ -129,8 +129,17 @@ def test_suite_single_site(capsys):
 
 
 def test_annulus_too_narrow_for_samples_is_config_error(tmp_path, capsys):
+    # samples 1e-3 apart (relative) on a circle of circumference 2 pi: at most ~6300 fit
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"lambda_grid": {"count": 3000, "r_min": 1.0, "r_max": 1.0001}}))
+    path.write_text(json.dumps({"lambda_grid": {"count": 7000, "r_min": 1.0, "r_max": 1.0001}}))
     code = main(["--config", str(path), "--seed", "7", "qfunctions"])
     assert code == 2
-    assert "cannot place 3000 separated samples" in capsys.readouterr().err
+    assert "cannot place 7000 separated samples" in capsys.readouterr().err
+
+
+def test_annulus_budget_is_per_sample(tmp_path, capsys):
+    # more samples than draws per sample, in an annulus with ample room
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"lambda_grid": {"count": 1200}}))
+    assert main(["--config", str(path), "--seed", "7", "qfunctions"]) == 0
+    assert "Q_coeffs" in capsys.readouterr().out

@@ -194,3 +194,80 @@ def test_oracle_rejects_charge_asymmetric_member(params7, monkeypatch):
     monkeypatch.setattr(spectrum, "transfer", asymmetric_third)
     with pytest.raises(ToleranceError, match="charge conjugation"):
         oracle_spectrum(params7, seed=123)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("instance", ["params7", "params_complex"])
+def test_oracle_rejects_noncommuting_member(instance, request, monkeypatch):
+    # a C-symmetric perturbation of one member, 1e-6 of its norm, passes the
+    # charge-conjugation certificate but breaks commutation: every redraw fails
+    # the residual, and the last one is gated
+    params = request.getfixturevalue(instance)
+    flip = charge_conjugation(params.p, params.N)
+    noise_rng, built = np.random.default_rng(4), []
+
+    def noncommuting_second(params, lam):
+        op = transfer(params, lam)
+        built.append(lam)
+        if len(built) == 2:
+            noise = noise_rng.standard_normal(op.shape) + 1j * noise_rng.standard_normal(op.shape)
+            noise += flip @ noise @ flip
+            op = op + 1e-6 * np.linalg.norm(op) * noise / np.linalg.norm(noise)
+        return op
+
+    monkeypatch.setattr(spectrum, "transfer", noncommuting_second)
+    eigh_calls = _count_calls(monkeypatch, spectrum.sla, "eigh")
+    eig_calls = _count_calls(monkeypatch, spectrum.sla, "eig")
+    with pytest.raises(ToleranceError, match="simultaneous-eigenvector residual"):
+        oracle_spectrum(params, seed=123)
+    # both sectors redraw until the retries run out
+    assert len(eigh_calls) + len(eig_calls) == 2 * spectrum._EIG_RETRIES
+
+
+def test_simultaneous_eig_paths_agree_for_real_couplings(rng):
+    params = default_instance(7, 5, 3)
+    ops = [transfer(params, lam) for lam in laurent.sample_annulus(rng, params.N + 2)]
+    collision = params.tol("eig_collision")
+    _, _, general, _ = simultaneous_eig(ops, np.random.default_rng(1), collision)
+    right, left, hermitian, resid = simultaneous_eig(ops, np.random.default_rng(1), collision,
+                                                     hermitian=True)
+    # the first-order step restores the precision eigh loses to near-equal real eigenvalues
+    # (about 1e-13 without it) and keeps the basis unitary
+    assert resid < 5e-14
+    assert np.array_equal(left, right.conj().T)
+    assert np.max(np.abs(left @ right - np.eye(params.dim))) < 1e-13
+    # same joint spectrum in another column order
+    dist = np.linalg.norm(general[:, :, None] - hermitian[:, None, :], axis=0)
+    match = dist.argmin(axis=1)
+    assert np.array_equal(np.sort(match), np.arange(params.dim))
+    assert dist.min(axis=1).max() < 1e-12 * np.abs(general).max()
+
+
+def test_oracle_eigenbasis_is_unitary_iff_couplings_are_real(sectored):
+    params, oracle = sectored
+    defect = np.max(np.abs(oracle.right.conj().T @ oracle.right - np.eye(params.dim)))
+    if params.kappa.imag.any() or params.xi.imag.any():
+        assert defect > 1e-2  # a non-normal family: the eigenvectors are oblique
+    else:
+        assert defect < 1e-13
+
+
+@pytest.mark.parametrize("instance,solver,inverses",
+                         [("params7", "eigh", 0), ("params_complex", "eig", 2)])
+def test_oracle_eigensolver_follows_couplings(instance, solver, inverses, request, monkeypatch):
+    # real couplings: eigh per C-sector and no inverse; complex ones: eig and inv
+    solves = _count_calls(monkeypatch, spectrum.sla, solver)
+    inv_calls = _count_calls(monkeypatch, np.linalg, "inv")
+    oracle_spectrum(request.getfixturevalue(instance), seed=123)
+    assert (len(solves), len(inv_calls)) == (2, inverses)

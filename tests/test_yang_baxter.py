@@ -208,3 +208,30 @@ def test_charge_conjugation_symmetry_property(instance):
     b_op = b_operator(params, lam)
     assert _relative(full @ b_op @ full, monodromy(params, lam).C) < 1e-13
     assert _relative(full @ b_op @ full, b_op) > 1e-2
+
+
+@st.composite
+def _signed_real_instances(draw):
+    N, p = draw(st.sampled_from([(1, 3), (1, 7), (3, 3), (3, 5), (5, 3)]))
+    couplings = st.builds(lambda r, sign: sign * r, st.floats(0.5, 2.0), st.sampled_from([-1, 1]))
+    kappa = draw(st.lists(couplings, min_size=N, max_size=N))
+    xi = draw(st.lists(couplings, min_size=N, max_size=N))
+    return make_params(N, p, draw(st.sampled_from([2, 4])), kappa, xi), draw(_polar(np.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_signed_real_instances())
+@example((make_params(3, 3, 2, [1.2 + 0.4j, 0.7 - 0.3j, 1.6 + 0.1j],
+                      [0.9 - 0.5j, 1.4 + 0.2j, 0.6 + 0.3j]), 0.8 * np.exp(0.7j)))
+def test_transfer_family_is_self_adjoint_for_real_couplings(instance):
+    # T(l)^H = T(l*) and B(l)^H = -C(l*) for real couplings (module docstring);
+    # complex couplings break both by O(1)
+    params, lam = instance
+    t_op, b_op = transfer(params, lam), b_operator(params, lam)
+    t_defect = _relative(t_op.conj().T, transfer(params, np.conj(lam)))
+    b_adjoint = -monodromy(params, np.conj(lam)).C
+    b_defect = np.linalg.norm(b_op.conj().T - b_adjoint) / np.linalg.norm(b_op)
+    if params.kappa.imag.any() or params.xi.imag.any():
+        assert min(t_defect, b_defect) > 1e-1
+    else:
+        assert max(t_defect, b_defect) <= 1e-13
