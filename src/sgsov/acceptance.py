@@ -266,11 +266,10 @@ def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator) -> Crite
     degree_ok = all(pr.q_function.degree <= bound for pr in sol.pairs)
 
     # refit in a wider basis: coefficients beyond the bound must vanish
-    worst_excess = 0.0
-    for pr in sol.pairs:
-        wide = q_from_t(sol.params, sol.avg, sol.coeffs, pr.t_coeffs, max_degree=bound + 2)
-        tail = np.max(np.abs(wide.coeffs[bound + 1 :])) / np.max(np.abs(wide.coeffs))
-        worst_excess = max(worst_excess, float(tail))
+    wides = q_from_t(params, sol.avg, sol.coeffs, [pr.t_coeffs for pr in sol.pairs],
+                     max_degree=bound + 2)
+    worst_excess = max(float(np.max(np.abs(w.coeffs[bound + 1 :])) / np.max(np.abs(w.coeffs)))
+                       for w in wides)
 
     lams = laurent.sample_annulus(rng, n_offgrid, avoid=sol.avg.all_points(negated=True))
     worst_tq = 0.0

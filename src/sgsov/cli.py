@@ -252,8 +252,8 @@ def cmd_qfunctions(cfg: RunConfig):
                                   cfg.lambda_grid.r_min, cfg.lambda_grid.r_max,
                                   avoid=avg.all_points(negated=True))
     records, ok = [], True
-    for pr in oracle.pairs:
-        qf = q_from_t(params, avg, coeffs, pr.t_coeffs)
+    q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
+    for pr, qf in zip(oracle.pairs, q_fns):
         tq = float(np.max(tq_residual(coeffs, pr.t_coeffs, qf, lams)))
         passed = qf.fit_residual <= q_tol and tq <= tq_tol
         ok &= passed

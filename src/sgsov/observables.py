@@ -43,7 +43,8 @@ rejected by the test suite.
 
 Form factors are computed one row at a time: one dual state t' against
 all states t in one broadcast step, multiplying the factors in the same
-order as for a single pair, so a row has the bits of its pairs.
+order as for a single pair, so a row has the bits of its pairs.  A whole
+table builds the t'-independent factors once and reuses them per row.
 
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
@@ -73,6 +74,7 @@ __all__ = [
     "build_coeigenstate",
     "form_factor_matrix",
     "form_factor",
+    "form_factor_table",
     "u1_operator",
 ]
 
@@ -113,50 +115,45 @@ def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.n
     )
 
 
-def _phi_terms(
+def _phi_rows(
     frame: SOVFrame,
     ts: TransferEigenpair | Sequence[TransferEigenpair],
-    tp: TransferEigenpair,
+    tps: Sequence[TransferEigenpair],
     operator_tag: str,
-) -> np.ndarray:
-    """Individual c-terms of the moment matrices, shape (len(ts), N, N, p).
+):
+    """Individual c-terms of the moment matrices, one (len(ts), N, N, p) array per t'.
 
-    The ``u1`` last column is assembled directly from its bilinear form
-    (weight times Q_t(y(c)) Q_t'(-y(c+1))), which stays finite when the
-    dual Q vanishes on a grid point.
+    The t'-independent factors are built once; the ``u1`` last column is assembled
+    directly from its bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which
+    stays finite when the dual Q vanishes on a grid point.
     """
     _require_calibrated(frame)
-    q_fns = [t.q_function for t in ([ts] if isinstance(ts, TransferEigenpair) else ts)]
-    if tp.q_function is None or None in q_fns:
+    ts = [ts] if isinstance(ts, TransferEigenpair) else ts
+    if any(t.q_function is None for t in [*ts, *tps]):
         raise ValueError("both eigenpairs need attached Q-functions")
     params, avg = frame.params, frame.avg
     N, p = params.N, params.p
     cs = np.arange(1, p + 1)
-    ks = cs % p
-    qt_c = np.array([q.grid_values for q in q_fns])[:, :, ks]  # (len(ts), N, p)
-    qtp_c = tp.q_function.neg_grid_values[:, ks]  # (N, p)
+    ks, ks_next = cs % p, (cs + 1) % p
+    qt_c = np.array([t.q_function.grid_values for t in ts])[:, :, ks]  # (len(ts), N, p)
     b_exp = 2 * np.arange(1, N + 1) - 1           # (N,)
     phase = params.q ** np.outer(b_exp, cs)       # (N, p)
+    y0_pow = avg.y0[:, None, None] ** b_exp[None, :, None]
 
     if operator_tag == "u1":
         table = avg.grids[:, ks][:, None, :] * np.ones((1, N, 1))
+        weighted = _u1_weight(params, BaxterCoeffs(params), avg.grids[:, ks_next]) * qt_c
     elif operator_tag == "identity":
         table = np.ones((N, N, p), dtype=complex)
     else:
         raise ValueError(f"unknown operator tag {operator_tag!r}; known: {OPERATOR_TAGS}")
+    left = table * qt_c[:, :, None, :]
 
-    terms = (
-        table
-        * qt_c[:, :, None, :]
-        * qtp_c[:, None, :]
-        * phase[None, :, :]
-        * avg.y0[:, None, None] ** b_exp[None, :, None]
-    )
-    if operator_tag == "u1":
-        ks_next = (cs + 1) % p
-        weight = _u1_weight(params, BaxterCoeffs(params), avg.grids[:, ks_next])
-        terms[:, :, N - 1, :] = weight * qt_c * tp.q_function.neg_grid_values[:, ks_next]
-    return terms
+    for tp in tps:  # same left-to-right product as a single pair
+        terms = left * tp.q_function.neg_grid_values[:, ks][:, None, :] * phase[None, :, :] * y0_pow
+        if operator_tag == "u1":
+            terms[:, :, N - 1, :] = weighted * tp.q_function.neg_grid_values[:, ks_next]
+        yield terms
 
 
 def form_factor_matrix(
@@ -170,7 +167,7 @@ def form_factor_matrix(
     ``operator_tag`` is one of :data:`OPERATOR_TAGS`.  A sequence ``t``
     gives the row, (len(t), N, N).
     """
-    phi = _phi_terms(frame, t, tp, operator_tag).sum(axis=-1)
+    phi = next(_phi_rows(frame, t, [tp], operator_tag)).sum(axis=-1)
     return phi[0] if isinstance(t, TransferEigenpair) else phi
 
 
@@ -186,7 +183,7 @@ def form_factor_det_scale(
     value is their Hadamard bound (product of column norms), the natural
     yardstick for declaring a determinant 'numerically zero'; one per t.
     """
-    scale = np.abs(_phi_terms(frame, t, tp, operator_tag)).sum(axis=-1)
+    scale = np.abs(next(_phi_rows(frame, t, [tp], operator_tag))).sum(axis=-1)
     bound = np.prod(np.linalg.norm(scale, axis=-2), axis=-1)
     return float(bound[0]) if isinstance(t, TransferEigenpair) else bound
 
@@ -201,6 +198,13 @@ def form_factor(
     of them for a sequence ``t``)."""
     dets = np.linalg.det(form_factor_matrix(frame, t, tp, operator_tag))
     return complex(dets) if isinstance(t, TransferEigenpair) else dets
+
+
+def form_factor_table(frame: SOVFrame, pairs: Sequence[TransferEigenpair],
+                      operator_tag: str = "identity") -> np.ndarray:
+    """Form factors det Phi indexed [t', t] over ``pairs``, one row (dual t') per step."""
+    return np.stack([np.linalg.det(terms.sum(axis=-1))
+                     for terms in _phi_rows(frame, pairs, pairs, operator_tag)])
 
 
 def u1_operator(params: ModelParams) -> np.ndarray:

@@ -20,6 +20,7 @@ from .observables import (
     build_coeigenstate,
     build_eigenstate,
     form_factor,
+    form_factor_table,
     u1_operator,
 )
 from .sov_basis import (
@@ -89,7 +90,7 @@ class ModelSolution:
 
     def form_factor_table(self, tag: str) -> np.ndarray:
         """Determinant values det Phi indexed [t', t], one row (dual t') per step."""
-        return np.stack([form_factor(self.frame, self.pairs, tp, tag) for tp in self.pairs])
+        return form_factor_table(self.frame, self.pairs, tag)
 
     def direct_table(self, tag: str) -> np.ndarray:
         """Brute-force matrix elements over matched oracle states, [t', t]."""
@@ -139,10 +140,8 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
     seeds = np.random.SeedSequence(seed).spawn(2)
     base_oracle = oracle_spectrum(params, seeds[0])
     coeffs = baxter_coeffs(params)
-    pairs = [
-        pair.with_q(q_from_t(params, avg, coeffs, pair.t_coeffs))
-        for pair in base_oracle.pairs
-    ]
+    q_fns = q_from_t(params, avg, coeffs, [pair.t_coeffs for pair in base_oracle.pairs])
+    pairs = [pair.with_q(qf) for pair, qf in zip(base_oracle.pairs, q_fns)]
     oracle = replace(base_oracle, pairs=pairs)
 
     frame = diagonalize_b_family(params, avg, seeds[1])

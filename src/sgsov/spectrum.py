@@ -17,7 +17,10 @@ restricted to a separation grid closes into a cyclic p x p system
 yields the Q values per variable up to one scale each.  A joint
 homogeneous least-squares solve stitches the per-variable values into a
 single polynomial of degree <= N(p-1); the system is overdetermined by
-one equation, so the residual is a real consistency check.
+one equation, so the residual is a real consistency check.  a and d do
+not depend on t, so the systems of a whole spectrum are stacked and
+solved by two batched SVDs; a failing check raises the error a loop over
+the eigenvalues in order would raise first (:func:`q_from_t`).
 
 The brute-force spectrum ("oracle") is obtained by simultaneous
 diagonalisation of transfer matrices at several spectral parameters via
@@ -347,13 +350,16 @@ def oracle_spectrum(
 
 def _cyclic_system(params: ModelParams, coeffs: BaxterCoeffs,
                    t_coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """TQ difference equation restricted to one q-cyclic orbit of points."""
+    """TQ difference equation on the q-cyclic orbits ``points`` (K, p) for each
+    eigenvalue row of ``t_coeffs`` (M, N), stacked (M, K, p, p); a, d evaluated once."""
     p = params.p
-    mat = np.zeros((p, p), dtype=complex)
     ks = np.arange(p)
-    mat[ks, ks] = t_eval(t_coeffs, points)
-    mat[ks, (ks - 1) % p] -= coeffs.a(points)
-    mat[ks, (ks + 1) % p] -= coeffs.d(points)
+    t_coeffs = np.asarray(t_coeffs, dtype=complex)
+    mono = points[..., None] ** laurent.transfer_powers(params.N)  # (K, p, N)
+    mat = np.zeros((len(t_coeffs),) + points.shape + (p,), dtype=complex)
+    mat[..., ks, ks] = (mono @ t_coeffs[:, None, :, None])[..., 0]
+    mat[..., ks, (ks - 1) % p] -= coeffs.a(points)
+    mat[..., ks, (ks + 1) % p] -= coeffs.d(points)
     return mat
 
 
@@ -370,7 +376,7 @@ def separate_system(
     with indices mod p; a polynomial Q solves the equation on this grid
     iff its value vector lies in the nullspace.
     """
-    return _cyclic_system(params, coeffs, t_coeffs, avg.grids[n - 1])
+    return _cyclic_system(params, coeffs, [t_coeffs], avg.grids[n - 1 : n])[0, 0]
 
 
 def hadamard_scale(mat: np.ndarray) -> float:
@@ -389,11 +395,8 @@ def grid_determinants(
     All entries vanish (to tolerance) iff ``t_coeffs`` belongs to the
     spectrum; a generic perturbed vector leaves at least one entry finite.
     """
-    out = np.empty(params.N)
-    for n in range(1, params.N + 1):
-        mat = separate_system(params, avg, coeffs, t_coeffs, n)
-        out[n - 1] = abs(np.linalg.det(mat)) / hadamard_scale(mat)
-    return out
+    mats = _cyclic_system(params, coeffs, [t_coeffs], avg.grids)[0]
+    return np.array([abs(np.linalg.det(mat)) / hadamard_scale(mat) for mat in mats])
 
 
 def q_from_t(
@@ -402,19 +405,21 @@ def q_from_t(
     coeffs: BaxterCoeffs,
     t_coeffs: np.ndarray,
     max_degree: int | None = None,
-) -> QFunction:
-    """Reconstruct the Q polynomial of an eigenvalue from the grid systems.
+) -> QFunction | list[QFunction]:
+    """Reconstruct the Q polynomial of each eigenvalue from the grid systems.
 
-    The difference equation closes cyclically on each grid and on each
-    negated grid (2N orbits in total; the negated values are the ones the
-    dual states consume).  Per orbit the (numerically) one-dimensional
-    nullspace fixes the Q values up to one scale; the polynomial
-    coefficients and the 2N orbit scales are then solved jointly as the
-    nullspace of a homogeneous linear system with rows balanced to unit
-    norm.  With 2Np equations against N(p-1) + 2N + 1 unknowns the system
-    is genuinely overdetermined, so the returned ``fit_residual`` (the
-    smallest singular value at unit solution norm) is a real consistency
-    check that one polynomial of degree <= N(p-1) reproduces every orbit.
+    ``t_coeffs`` is one vector (N,), giving one QFunction, or a stack (M, N),
+    giving a list; both take the same stacked path.  The difference equation
+    closes cyclically on each grid and each negated grid (2N orbits; the negated
+    values feed the dual states).  One SVD of all M x 2N orbit systems gives per
+    orbit a (numerically) one-dimensional nullspace: the Q values up to one scale.
+    A second stacked SVD solves the M joint homogeneous systems, rows then unknowns
+    balanced to unit norm, for the polynomial coefficients and the 2N orbit scales.
+    With 2Np equations against N(p-1) + 2N + 1 unknowns each is overdetermined, so
+    ``fit_residual`` (the smallest singular value at unit solution norm) checks that
+    one polynomial of degree <= N(p-1) reproduces every orbit.  The checks run on
+    the whole stack; the first failing eigenvalue raises DegenerateModelError for
+    its first failing orbit gap, else its joint rank, else a collapsed scale.
 
     ``max_degree`` widens the polynomial basis beyond the default bound
     N(p-1); the trailing coefficients of the solution then measure how
@@ -423,63 +428,53 @@ def q_from_t(
     N, p = params.N, params.p
     deg = N * (p - 1) if max_degree is None else int(max_degree)
     gap_tol = params.tol("nullspace_gap")
+    t_stack = np.asarray(t_coeffs).reshape(-1, N)
+    M = len(t_stack)
 
     orbits = np.vstack([avg.grids, -avg.grids])  # (2N, p)
-    orbit_vals = np.empty((2 * N, p), dtype=complex)
-    gaps = np.empty(2 * N)
-    for m, points in enumerate(orbits):
-        mat = _cyclic_system(params, coeffs, t_coeffs, points)
-        _, svals, vh = np.linalg.svd(mat)
-        gaps[m] = svals[-2] / svals[0]
-        if gaps[m] < gap_tol:
-            raise DegenerateModelError(
-                f"grid system {m % N + 1} has a nullspace of dimension > 1 "
-                f"(singular-value gap {gaps[m]:.3e})"
-            )
-        orbit_vals[m] = vh[-1].conj()
+    _, svals, vh = np.linalg.svd(_cyclic_system(params, coeffs, t_stack, orbits))
+    gaps = svals[..., -2] / svals[..., 0]  # (M, 2N)
 
     # rows: Q(points[m, k]) - scale_m * nullvec_m[k] = 0
-    design = np.zeros((2 * N * p, deg + 1 + 2 * N), dtype=complex)
-    pts = orbits.reshape(-1)
-    design[:, : deg + 1] = pts[:, None] ** np.arange(deg + 1)[None, :]
-    for m in range(2 * N):
-        design[m * p : (m + 1) * p, deg + 1 + m] = -orbit_vals[m]
+    rows = np.arange(2 * N * p)
+    design = np.zeros((M, 2 * N * p, deg + 1 + 2 * N), dtype=complex)
+    design[:, :, : deg + 1] = orbits.reshape(-1)[:, None] ** np.arange(deg + 1)[None, :]
+    design[:, rows, deg + 1 + rows // p] = -vh[..., -1, :].conj().reshape(M, -1)
     # equilibrate: balance equations, then unknowns (monomial columns grow
     # like max|y|^j and would otherwise swamp the singular-value gap)
-    design /= np.linalg.norm(design, axis=1)[:, None]
-    col_scale = np.linalg.norm(design, axis=0)
-    design /= col_scale[None, :]
+    design /= np.linalg.norm(design, axis=-1)[..., None]
+    col_scale = np.linalg.norm(design, axis=-2)
+    design /= col_scale[:, None, :]
 
     _, svals, vh = np.linalg.svd(design)
-    fit_residual = float(svals[-1])
-    if svals[-2] < gap_tol:
-        raise DegenerateModelError(
-            f"joint Q system is rank deficient (second singular value {svals[-2]:.3e})"
-        )
-    solution = vh[-1].conj() / col_scale
-    qc = solution[: deg + 1]
-    scales = solution[deg + 1 :]
-    if np.min(np.abs(scales)) < 1e-10 * np.max(np.abs(scales)):
+    solution = vh[:, -1].conj() / col_scale
+    qc, scales = solution[:, : deg + 1], np.abs(solution[:, deg + 1 :])
+    collapsed = np.min(scales, axis=1) < 1e-10 * np.max(scales, axis=1)
+    failed = (gaps < gap_tol).any(axis=1) | (svals[:, -2] < gap_tol) | collapsed
+    if failed.any():  # what a loop over eigenvalues, each over its orbits, would meet first
+        j = np.argmax(failed)
+        if (gaps[j] < gap_tol).any():
+            m = np.argmax(gaps[j] < gap_tol)
+            raise DegenerateModelError(f"grid system {m % N + 1} has a nullspace of dimension > 1 "
+                                       f"(singular-value gap {gaps[j, m]:.3e})")
+        if svals[j, -2] < gap_tol:
+            raise DegenerateModelError(
+                f"joint Q system is rank deficient (second singular value {svals[j, -2]:.3e})")
         raise DegenerateModelError("a per-variable scale collapsed in the joint Q solve")
 
     # global phase: rotate to minimise the imaginary weight, then fix sign
-    s2 = np.sum(qc ** 2)
-    if abs(s2) > 0:
-        qc = qc * np.exp(-0.5j * np.angle(s2))
-    if qc[np.argmax(np.abs(qc))].real < 0:
-        qc = -qc
-    qc = qc / np.linalg.norm(qc)
-    imag_residue = float(np.max(np.abs(qc.imag)) / np.max(np.abs(qc)))
+    s2 = np.sum(qc ** 2, axis=1)
+    qc = np.where((np.abs(s2) > 0)[:, None], qc * np.exp(-0.5j * np.angle(s2))[:, None], qc)
+    qc = np.where((qc[np.arange(M), np.argmax(np.abs(qc), axis=1)].real < 0)[:, None], -qc, qc)
+    # row norms as np.linalg.norm forms them for one vector: dot(re, re) + dot(im, im)
+    qc = qc / np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0] for x in (qc.real, qc.imag)))
+    imag_residue = np.max(np.abs(qc.imag), axis=1) / np.max(np.abs(qc), axis=1)
 
     poly = np.polynomial.polynomial.polyval
-    return QFunction(
-        coeffs=qc,
-        grid_values=poly(avg.grids, qc),
-        neg_grid_values=poly(-avg.grids, qc),
-        fit_residual=fit_residual,
-        nullspace_gaps=gaps,
-        imag_residue=imag_residue,
-    )
+    values = [poly(x, qc.T, tensor=True) for x in (avg.grids, -avg.grids)]  # (M, N, p) each
+    q_fns = [QFunction(*fields) for fields in zip(  # in QFunction field order
+        qc, *values, svals[:, -1].tolist(), gaps, imag_residue.tolist())]
+    return q_fns[0] if np.ndim(t_coeffs) == 1 else q_fns
 
 
 def tq_residual(
@@ -526,10 +521,8 @@ def ab_initio_spectrum(
     )
 
     def residuals(c: np.ndarray) -> np.ndarray:
-        dets = np.empty(N, dtype=complex)
-        for n in range(1, N + 1):
-            mat = separate_system(params, avg, coeffs, c, n)
-            dets[n - 1] = np.linalg.det(mat) / hadamard_scale(mat)
+        dets = np.array([np.linalg.det(mat) / hadamard_scale(mat)
+                         for mat in _cyclic_system(params, coeffs, [c], avg.grids)[0]])
         return np.concatenate([dets.real, dets.imag])
 
     found: list[np.ndarray] = []

@@ -143,3 +143,12 @@ def test_annulus_budget_is_per_sample(tmp_path, capsys):
     path.write_text(json.dumps({"lambda_grid": {"count": 1200}}))
     assert main(["--config", str(path), "--seed", "7", "qfunctions"]) == 0
     assert "Q_coeffs" in capsys.readouterr().out
+
+
+def test_degenerate_q_system_exits_4(capsys):
+    # (3,7): one orbit system has a second null direction at a singular-value
+    # gap below nullspace_gap (1e-6); a degenerate model, exit code 4
+    code = main(["--seed", "7", "--n-sites", "3", "--p", "7", "qfunctions"])
+    assert code == 4
+    assert ("grid system 2 has a nullspace of dimension > 1 (singular-value gap 2.372e-07)"
+            in capsys.readouterr().err)

@@ -183,6 +183,9 @@ def test_row_form_factors_match_single_pairs(solution7):
         assert form_factor(frame, [t], tp, tag)[0] == form_factor(frame, t, tp, tag)
         assert np.array_equal(form_factor(frame, pairs, tp, tag),
                               [form_factor(frame, s, tp, tag) for s in pairs])
+        # a table, with its t'-independent factors built once, has the bits of its rows
+        assert np.array_equal(solution7.form_factor_table(tag),
+                              [form_factor(frame, pairs, d, tag) for d in pairs])
         assert form_factor_det_scale(frame, [t], tp, tag)[0] == form_factor_det_scale(
             frame, t, tp, tag)
         assert np.array_equal(form_factor_matrix(frame, [t], tp, tag)[0],

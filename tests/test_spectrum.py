@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from sgsov import (
     baxter_coeffs,
+    compute_grids,
     grid_determinants,
+    make_params,
     oracle_spectrum,
     q_from_t,
     separate_system,
@@ -14,7 +18,7 @@ from sgsov import (
 from conftest import charge_conjugation
 from sgsov import laurent, spectrum
 from sgsov.acceptance import default_instance
-from sgsov.errors import ToleranceError
+from sgsov.errors import DegenerateModelError, ToleranceError
 from sgsov.spectrum import ab_initio_spectrum, simultaneous_eig
 
 
@@ -271,3 +275,154 @@ def test_oracle_eigensolver_follows_couplings(instance, solver, inverses, reques
     inv_calls = _count_calls(monkeypatch, np.linalg, "inv")
     oracle_spectrum(request.getfixturevalue(instance), seed=123)
     assert (len(solves), len(inv_calls)) == (2, inverses)
+
+
+def _q_loop_reference(params, avg, coeffs, t_coeffs, max_degree=None):
+    """One eigenvalue at a time, one orbit at a time: the unstacked reconstruction."""
+    N, p = params.N, params.p
+    deg = N * (p - 1) if max_degree is None else max_degree
+    gap_tol = params.tol("nullspace_gap")
+    orbits = np.vstack([avg.grids, -avg.grids])
+    orbit_vals = np.empty((2 * N, p), dtype=complex)
+    gaps = np.empty(2 * N)
+    ks = np.arange(p)
+    for m, points in enumerate(orbits):
+        mat = np.zeros((p, p), dtype=complex)
+        mat[ks, ks] = t_eval(t_coeffs, points)
+        mat[ks, (ks - 1) % p] -= coeffs.a(points)
+        mat[ks, (ks + 1) % p] -= coeffs.d(points)
+        _, svals, vh = np.linalg.svd(mat)
+        gaps[m] = svals[-2] / svals[0]
+        if gaps[m] < gap_tol:
+            raise DegenerateModelError(
+                f"grid system {m % N + 1} has a nullspace of dimension > 1 "
+                f"(singular-value gap {gaps[m]:.3e})")
+        orbit_vals[m] = vh[-1].conj()
+    design = np.zeros((2 * N * p, deg + 1 + 2 * N), dtype=complex)
+    design[:, : deg + 1] = orbits.reshape(-1)[:, None] ** np.arange(deg + 1)[None, :]
+    for m in range(2 * N):
+        design[m * p : (m + 1) * p, deg + 1 + m] = -orbit_vals[m]
+    design /= np.linalg.norm(design, axis=1)[:, None]
+    col_scale = np.linalg.norm(design, axis=0)
+    design /= col_scale[None, :]
+    _, svals, vh = np.linalg.svd(design)
+    if svals[-2] < gap_tol:
+        raise DegenerateModelError(
+            f"joint Q system is rank deficient (second singular value {svals[-2]:.3e})")
+    solution = vh[-1].conj() / col_scale
+    qc, scales = solution[: deg + 1], solution[deg + 1 :]
+    if np.min(np.abs(scales)) < 1e-10 * np.max(np.abs(scales)):
+        raise DegenerateModelError("a per-variable scale collapsed in the joint Q solve")
+    s2 = np.sum(qc ** 2)
+    if abs(s2) > 0:
+        qc = qc * np.exp(-0.5j * np.angle(s2))
+    if qc[np.argmax(np.abs(qc))].real < 0:
+        qc = -qc
+    qc = qc / np.linalg.norm(qc)
+    poly = np.polynomial.polynomial.polyval
+    return spectrum.QFunction(
+        coeffs=qc, grid_values=poly(avg.grids, qc), neg_grid_values=poly(-avg.grids, qc),
+        fit_residual=float(svals[-1]), nullspace_gaps=gaps,
+        imag_residue=float(np.max(np.abs(qc.imag)) / np.max(np.abs(qc))))
+
+
+def _first_loop_error(params, avg, coeffs, ts):
+    for t in ts:
+        try:
+            _q_loop_reference(params, avg, coeffs, t)
+        except DegenerateModelError as exc:
+            return str(exc)
+    return None
+
+
+def _assert_same_bits(got, want):
+    for field in ("coeffs", "grid_values", "neg_grid_values", "nullspace_gaps"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert (got.fit_residual, got.imag_residue) == (want.fit_residual, want.imag_residue)
+
+
+@pytest.fixture(scope="module", params=["params_n1", "params7", "params_complex", (3, 5), (5, 3)],
+                ids=["n1p3", "n3p3", "n3p3-complex", "n3p5", "n5p3"])
+def q_stack(request):
+    params = (request.getfixturevalue(request.param) if isinstance(request.param, str)
+              else default_instance(7, *request.param))
+    ts = np.array([pr.t_coeffs for pr in oracle_spectrum(params, seed=7).pairs])
+    return params, compute_grids(params), baxter_coeffs(params), ts
+
+
+@pytest.mark.parametrize("extra_degree", [0, 2])
+def test_stacked_q_matches_one_at_a_time(q_stack, extra_degree):
+    # one stacked call gives the bits of one call per eigenvalue and of the unstacked loop
+    params, avg, coeffs, ts = q_stack
+    deg = params.N * (params.p - 1) + extra_degree
+    stacked = q_from_t(params, avg, coeffs, ts, max_degree=deg)
+    assert isinstance(stacked, list) and len(stacked) == len(ts)
+    for t, qf in zip(ts, stacked):
+        _assert_same_bits(qf, q_from_t(params, avg, coeffs, t, max_degree=deg))
+        _assert_same_bits(qf, _q_loop_reference(params, avg, coeffs, t, deg))
+
+
+@st.composite
+def _coupled_instances(draw):
+    N, p = draw(st.sampled_from([(1, 3), (3, 3), (1, 5)]))
+    couplings = (st.floats(0.5, 2.0) if draw(st.booleans()) else
+                 st.builds(lambda r, phi: r * np.exp(1j * phi),
+                           st.floats(0.5, 2.0), st.floats(-0.6, 0.6)))
+    kappa = draw(st.lists(couplings, min_size=N, max_size=N))
+    xi = draw(st.lists(couplings, min_size=N, max_size=N))
+    return make_params(N, p, 2, kappa, xi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coupled_instances())
+def test_stacked_q_matches_loop_on_random_couplings(params):
+    try:
+        avg = compute_grids(params)
+        ts = [pr.t_coeffs for pr in oracle_spectrum(params, seed=1).pairs]
+    except (DegenerateModelError, ToleranceError):
+        reject()
+    coeffs = baxter_coeffs(params)
+    expected = _first_loop_error(params, avg, coeffs, ts)
+    if expected is not None:
+        with pytest.raises(DegenerateModelError) as exc:
+            q_from_t(params, avg, coeffs, ts)
+        assert str(exc.value) == expected
+        return
+    for t, qf in zip(ts, q_from_t(params, avg, coeffs, ts)):
+        _assert_same_bits(qf, _q_loop_reference(params, avg, coeffs, t))
+
+
+def test_gap_guard_raises_the_loops_first_error(solution7, params7):
+    # a nullspace_gap between the smallest and largest orbit gap of the spectrum
+    gaps = np.array([pr.q_function.nullspace_gaps for pr in solution7.pairs])
+    tol = float(np.sqrt(gaps.min() * gaps.max()))
+    params = params7.with_tolerances(nullspace_gap=tol)
+    avg, coeffs = solution7.avg, solution7.coeffs
+    ts = [pr.t_coeffs for pr in solution7.pairs]
+    expected = _first_loop_error(params, avg, coeffs, ts)
+    assert expected.startswith("grid system ")
+    with pytest.raises(DegenerateModelError) as exc:
+        q_from_t(params, avg, coeffs, ts)
+    assert str(exc.value) == expected
+
+
+def test_guard_order_follows_the_loop():
+    # in this complex (3,3) instance eigenvalue 18 has a joint second singular
+    # value (0.377) below all of its orbit gaps (>= 0.421), so tolerances in
+    # between reach the joint rank guard of a stack that starts there
+    rng = np.random.default_rng(13)
+    kappa = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
+    xi = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
+    base = make_params(3, 3, 2, kappa, xi)
+    avg, coeffs = compute_grids(base), baxter_coeffs(base)
+    ts = [pr.t_coeffs for pr in oracle_spectrum(base, seed=13).pairs]
+    seen = set()
+    for tol in (0.05, 0.3, 0.4, 0.45):
+        params = base.with_tolerances(nullspace_gap=tol)
+        for start in (0, 17, 18):
+            expected = _first_loop_error(params, avg, coeffs, ts[start:])
+            with pytest.raises(DegenerateModelError) as exc:
+                q_from_t(params, avg, coeffs, ts[start:])
+            assert str(exc.value) == expected
+            seen.add(expected.split()[0])
+    assert seen == {"grid", "joint"}
