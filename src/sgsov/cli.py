@@ -21,13 +21,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import laurent
 from .acceptance import CRITERIA, run_suite
-from .averages import compute_grids, f_function
+from .averages import compute_grids
 from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateModelError, ToleranceError
 from .observables import form_factor_det_scale
@@ -67,13 +68,105 @@ def _plain(value: Any):
     return str(value)
 
 
-def _render(records: list[dict], fmt: str) -> str:
+# how json writes the non-finite floats whose repr is "nan", "inf", "-inf"
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """JSON text of each entry of a real, integer or boolean array, in C order."""
+    flat = values.ravel()
+    if flat.dtype.kind == "b":
+        return np.where(flat, "true", "false").tolist()
+    if flat.dtype.kind in "iu":
+        return list(map(int.__repr__, flat.tolist()))
+    text = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        text[i] = _NONFINITE[text[i]]
+    return text
+
+
+def _nest(shape: tuple, sep: str) -> str:
+    """Template of a nested list of the given shape, one ``%s`` per entry."""
+    if not shape:
+        return "%s"
+    return "[" + sep.join([_nest(shape[1:], sep)] * shape[0]) + "]"
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A family of records with the same fields, stored by column.
+
+    ``fields`` maps each field name, in the family's field order, to a
+    ``numpy`` array whose first axis runs over the records (a column; at
+    least one field is one), or to one value that every record shares (a
+    constant).  The field named ``optional`` appears only in the records
+    where ``mask`` is true.
+    """
+
+    record: str
+    fields: dict
+    optional: str | None = None
+    mask: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return next(len(v) for v in self.fields.values() if isinstance(v, np.ndarray))
+
+    def lines(self, fmt: str) -> list[str]:
+        """The records as ``_render`` writes them, one template fill per line."""
+        if fmt == "json":
+            fields = {**self.fields, "record": self.record}
+            names, keys = sorted(fields), {k: json.dumps(k) + ":" for k in fields}
+            layout = ("{", ",", "}", (",", ":"))
+        else:
+            fields = self.fields
+            names, keys = list(fields), {k: f"{k}=" for k in fields}
+            layout = (f"{self.record:24s} ", "  ", "", (", ", ": "))
+        if self.optional is None:
+            return _fill(fields, names, keys, layout, slice(None), len(self))
+        mask = np.asarray(self.mask, dtype=bool)
+        lines = [""] * len(self)
+        for rows, kept in ((mask, names), (~mask, [k for k in names if k != self.optional])):
+            index = np.flatnonzero(rows)
+            for i, line in zip(index.tolist(), _fill(fields, kept, keys, layout, index, len(index))):
+                lines[i] = line
+        return lines
+
+
+def _fill(fields: dict, names: list, keys: dict, layout: tuple, rows, count: int) -> list[str]:
+    """Lines of the ``count`` selected ``rows`` with the fields ``names``, in that order.
+
+    One ``%`` template is built for the whole family: constants are
+    written into it once, and every column entry becomes a ``%s`` slot,
+    filled from that column's text.
+    """
+    start, join, end, seps = layout
+    if not count:
+        return []
+    parts, columns = [], []
+    for name in names:
+        value = fields[name]
+        if not isinstance(value, np.ndarray):
+            text = json.dumps(_plain(value), sort_keys=True, separators=seps)
+            parts.append((keys[name] + text).replace("%", "%%"))
+            continue
+        value = value[rows]
+        if value.dtype.kind == "c":
+            value = np.stack([value.real, value.imag], axis=-1)
+        parts.append(keys[name].replace("%", "%%") + _nest(value.shape[1:], seps[0]))
+        text = _texts(value.reshape(count, -1).T)
+        columns.extend(text[j:j + count] for j in range(0, len(text), count))
+    template = start.replace("%", "%%") + join.join(parts) + end
+    return [template % row for row in (zip(*columns) if columns else [()] * count)]
+
+
+def _render(records: list, fmt: str) -> str:
     lines = []
-    if fmt == "json":
-        for rec in records:
+    for rec in records:
+        if isinstance(rec, _Block):
+            lines.extend(rec.lines(fmt))
+        elif fmt == "json":
             lines.append(json.dumps(_plain(rec), sort_keys=True, separators=(",", ":")))
-    else:
-        for rec in records:
+        else:
             rec = _plain(rec)
             head = rec.pop("record", "row")
             body = "  ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in rec.items())
@@ -147,22 +240,15 @@ def cmd_averages(cfg: RunConfig):
     lambdas = laurent.sample_annulus(
         rng, cfg.lambda_grid.count, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max
     )
-    for lam in lambdas:
-        records.append({
-            "record": "averages", "Lambda": lam,
-            "F": complex(avg.f(lam)), "calA": complex(avg.cal_a(lam)),
-            "calB": complex(avg.cal_b(lam)),
-        })
+    f, cal_a, cal_b = avg.f(lambdas), avg.cal_a(lambdas), avg.cal_b(lambdas)
+    records.append(_Block("averages", {"Lambda": lambdas, "F": f, "calA": cal_a, "calB": cal_b}))
     # structural identities on the sampled grid
-    par = np.max(np.abs(avg.cal_b(-lambdas) + avg.cal_b(lambdas))
-                 / np.abs(avg.cal_b(lambdas)))
-    ident = np.max(np.abs(avg.cal_a(lambdas) ** 2 - avg.cal_b(lambdas) ** 2
-                          - avg.f(lambdas) * avg.f(-lambdas))
-                   / np.abs(avg.f(lambdas) * avg.f(-lambdas)))
+    par = np.max(np.abs(avg.cal_b(-lambdas) + cal_b) / np.abs(cal_b))
+    f_pair = f * avg.f(-lambdas)
+    ident = np.max(np.abs(cal_a ** 2 - cal_b ** 2 - f_pair) / np.abs(f_pair))
     bridge = np.max(np.abs(
         np.array([np.prod(coeffs.a(params.q ** np.arange(1, params.p + 1) * lam))
-                  for lam in lambdas ** (1.0 / params.p)])
-        - f_function(params, lambdas)) / np.abs(f_function(params, lambdas)))
+                  for lam in lambdas ** (1.0 / params.p)]) - f) / np.abs(f))
     for name, value in (("parity_oddness", par), ("quadratic_identity", ident),
                         ("coefficient_product_bridge", bridge)):
         passed = value <= tol
@@ -205,12 +291,9 @@ def cmd_sov_basis(cfg: RunConfig):
         ok &= value <= measure_tol
         records.append({"record": name, "value": value,
                         "tolerance": measure_tol, "passed": value <= measure_tol})
-    for idx in range(frame.dim):
-        records.append({
-            "record": "sov_vector", "index": idx,
-            "label": frame.labels[idx].tolist(),
-            "measure": complex(frame.measure[idx]),
-        })
+    records.append(_Block("sov_vector", {
+        "index": np.arange(frame.dim), "label": frame.labels, "measure": frame.measure,
+    }))
     return records, ok
 
 
@@ -226,16 +309,17 @@ def cmd_spectrum(cfg: RunConfig):
     ok &= gap_ok
     records.append({"record": "min_coeff_gap", "value": float(oracle.min_coeff_gap),
                     "tolerance": 1e-8, "passed": gap_ok})
-    for pr in oracle.pairs:
-        passed = pr.fit_residual <= fit_tol
-        ok &= passed
-        records.append({
-            "record": "t_coeffs", "index": pr.label,
-            "value": [complex(c) for c in pr.t_coeffs],
-            "fit_residual": pr.fit_residual, "tolerance": fit_tol, "passed": passed,
-            "imag_residue": pr.imag_residue, "reality_tolerance": reality_tol,
-            "reality_warning": pr.imag_residue > reality_tol,
-        })
+    fit = np.array([pr.fit_residual for pr in oracle.pairs])
+    imag = np.array([pr.imag_residue for pr in oracle.pairs])
+    passed = fit <= fit_tol
+    ok &= bool(passed.all())
+    records.append(_Block("t_coeffs", {
+        "index": np.array([pr.label for pr in oracle.pairs]),
+        "value": np.array([pr.t_coeffs for pr in oracle.pairs]),
+        "fit_residual": fit, "tolerance": fit_tol, "passed": passed,
+        "imag_residue": imag, "reality_tolerance": reality_tol,
+        "reality_warning": imag > reality_tol,
+    }))
     return records, ok
 
 
@@ -253,17 +337,18 @@ def cmd_qfunctions(cfg: RunConfig):
                                   avoid=avg.all_points(negated=True))
     records, ok = [], True
     q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
-    for pr, qf in zip(oracle.pairs, q_fns):
-        tq = float(np.max(tq_residual(coeffs, pr.t_coeffs, qf, lams)))
-        passed = qf.fit_residual <= q_tol and tq <= tq_tol
-        ok &= passed
-        records.append({
-            "record": "Q_coeffs", "index": pr.label,
-            "value": [complex(c) for c in qf.coeffs],
-            "degree": qf.degree, "grid_residual": qf.fit_residual,
-            "tq_residual": tq, "tolerance": q_tol, "tq_tolerance": tq_tol,
-            "passed": passed, "imag_residue": qf.imag_residue,
-        })
+    tq = np.array([np.max(tq_residual(coeffs, pr.t_coeffs, qf, lams))
+                   for pr, qf in zip(oracle.pairs, q_fns)])
+    fit = np.array([qf.fit_residual for qf in q_fns])
+    passed = (fit <= q_tol) & (tq <= tq_tol)
+    ok &= bool(passed.all())
+    records.append(_Block("Q_coeffs", {
+        "index": np.array([pr.label for pr in oracle.pairs]),
+        "value": np.array([qf.coeffs for qf in q_fns]),
+        "degree": np.array([qf.degree for qf in q_fns]), "grid_residual": fit,
+        "tq_residual": tq, "tolerance": q_tol, "tq_tolerance": tq_tol,
+        "passed": passed, "imag_residue": np.array([qf.imag_residue for qf in q_fns]),
+    }))
     return records, ok
 
 
@@ -274,23 +359,18 @@ def cmd_formfactors(cfg: RunConfig):
     ratio_tol = params.tol("ff_ratio")
     records, ok = [], True
 
-    det_id = sol.form_factor_table("identity")
-    direct_id = sol.direct_table("identity")
-    diag_ratio = np.diag(det_id) / np.diag(direct_id)
-    const = complex(diag_ratio.mean())
     for tag in ("identity", "u1"):
-        dets = det_id if tag == "identity" else sol.form_factor_table(tag)
-        directs = direct_id if tag == "identity" else sol.direct_table(tag)
-        for jp in range(params.dim):
-            for j in range(params.dim):
-                rec = {
-                    "record": "Phi", "operator": tag, "row": jp, "col": j,
-                    "det": complex(dets[jp, j]), "direct": complex(directs[jp, j]),
-                }
-                if tag == "u1" or jp == j:
-                    rec["ratio"] = complex(dets[jp, j] / directs[jp, j])
-                records.append(rec)
+        dets, directs = sol.form_factor_table(tag), sol.direct_table(tag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = dets / directs  # off-diagonal identity ratios are not written
+        rows, cols = np.indices(dets.shape).reshape(2, -1)
+        records.append(_Block("Phi", {
+            "operator": tag, "row": rows, "col": cols, "det": dets.ravel(),
+            "direct": directs.ravel(), "ratio": ratio.ravel(),
+        }, optional=None if tag == "u1" else "ratio", mask=rows == cols))
         if tag == "identity":
+            diag_ratio = np.diag(ratio)
+            const = complex(diag_ratio.mean())
             worst = 0.0
             for jp, tp in enumerate(sol.pairs):
                 scale = form_factor_det_scale(sol.frame, sol.pairs, tp, tag)
@@ -307,7 +387,7 @@ def cmd_formfactors(cfg: RunConfig):
             records.append({"record": "identity_diag_ratio_spread", "value": spread,
                             "constant": const, "tolerance": ratio_tol, "passed": passed})
         else:
-            spread = float(np.max(np.abs(dets / directs / const - 1)))
+            spread = float(np.max(np.abs(ratio / const - 1)))
             passed = spread <= ratio_tol
             ok &= passed
             records.append({"record": "u1_ratio_spread", "value": spread,
@@ -446,7 +526,8 @@ def main(argv: list[str] | None = None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-        print(f"{args.command}: {len(records)} records in {time.perf_counter() - t0:.2f}s",
+        count = sum(len(r) if isinstance(r, _Block) else 1 for r in records)
+        print(f"{args.command}: {count} records in {time.perf_counter() - t0:.2f}s",
               file=sys.stderr)
         return 0 if ok else 3
     except ConfigError as exc:

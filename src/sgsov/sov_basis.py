@@ -250,7 +250,7 @@ def calibrate_scales(
     coeff = separate_expansion(frame, reference.q_function.grid_values)
     cmag = np.abs(coeff)
     if cmag.min() < 1e-12 * cmag.max():
-        raise ValueError(
+        raise DegenerateModelError(
             "reference Q-function vanishes near a grid point; choose another reference"
         )
     target = reference.vector

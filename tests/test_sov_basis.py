@@ -12,6 +12,7 @@ from sgsov import (
     label_vectors,
 )
 from sgsov import laurent
+from sgsov.errors import DegenerateModelError
 from sgsov.sov_basis import separate_expansion, vandermonde_weights
 
 
@@ -128,6 +129,18 @@ def test_calibration_phase_covariance(params7, solution7):
     cal2 = calibrate_scales(frame, replace(ref, vector=np.exp(0.7j) * ref.vector))
     ratio = cal2.scales / cal1.scales
     assert np.allclose(ratio, np.exp(0.7j), rtol=1e-10)
+
+
+def test_calibration_rejects_reference_vanishing_on_grid(params7, solution7):
+    # a reference Q with a zero on the grid leaves some labels without weight:
+    # a degenerate model (exit code 4), not a misuse of the API
+    frame = apply_measure_normalization(_fresh_frame(params7, solution7.avg))
+    ref = solution7.pairs[solution7.reference_index]
+    grid = ref.q_function.grid_values.copy()
+    grid[0, 0] = 0.0
+    ref = replace(ref, q_function=replace(ref.q_function, grid_values=grid))
+    with pytest.raises(DegenerateModelError, match="vanishes near a grid point"):
+        calibrate_scales(frame, ref)
 
 
 def test_calibration_requires_measure(params7, solution7):
