@@ -18,6 +18,7 @@ numerical libraries load).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -465,6 +466,7 @@ def _parse_couplings(values):
         raise ConfigError(f"cannot parse coupling value: {exc}") from None
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgsov",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -30,8 +32,13 @@ def sample_annulus(
     than ``min_rel_dist`` (relative to the larger magnitude) to any entry of
     ``avoid`` or to an already accepted sample are rejected and redrawn, so
     samples stay clear of the origin, of grid points and of each other;
-    each sample gets ``max_tries`` draws.
+    each sample gets ``max_tries`` draws.  A ``count`` above
+    :func:`_packing_bound` is rejected before any draw.
     """
+    bound = _packing_bound(r_min, r_max, min_rel_dist)
+    if count > bound:
+        raise ConfigError(f"cannot place {count} separated samples in {r_min:g} <= |l| "
+                          f"<= {r_max:g}: at most {math.floor(bound)} fit")
     avoid = np.asarray([] if avoid is None else avoid, dtype=complex).ravel()
     pts = np.concatenate([avoid, np.empty(count, dtype=complex)])
     re, im = pts.real.copy(), pts.imag.copy()
@@ -47,6 +54,22 @@ def sample_annulus(
                               f"<= {r_max:g} within {max_tries} draws per sample")
         pts[n], re[n], im[n], mag[n] = lam, lam.real, lam.imag, abs(lam)
     return pts[len(avoid):]
+
+
+def _packing_bound(r_min: float, r_max: float, min_rel_dist: float) -> float:
+    """Most samples that fit pairwise sep = ``min_rel_dist * r_min`` apart.
+
+    Disks of radius sep/2 around them are disjoint inside the annulus widened
+    by sep/2; in a ring of width w < sep, neighbours are also an angle of at
+    least 2 arcsin(sqrt(sep^2 - w^2) / (2 r_max)) apart.
+    """
+    sep, width = min_rel_dist * r_min, r_max - r_min
+    if not sep > 0:
+        return math.inf
+    area = ((r_max + sep / 2) ** 2 - max(r_min - sep / 2, 0.0) ** 2) / (sep / 2) ** 2
+    if width >= sep:
+        return area
+    return min(area, math.pi / math.asin(min(math.sqrt(sep**2 - width**2) / (2 * r_max), 1.0)))
 
 
 def transfer_powers(N: int) -> np.ndarray:

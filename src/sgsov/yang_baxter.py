@@ -12,12 +12,14 @@ with l_n = l / xi_n.  Operator ordering inside the entries is semantic
 
 The monodromy matrix is the ordered product M(l) = L_N(l) ... L_1(l)
 with site N leftmost, and the transfer matrix is T(l) = A(l) + D(l).
-Each Lax entry acts on one tensor factor, so the product is built site
-by site as a sum of Kronecker products: the partial monodromy over
-sites 1..n is P_n[i,j] = sum_k P_{n-1}[k,j] (x) L_n[i,k], O(dim^2) work
-per site, site 1 the slowest factor (as in :func:`sgsov.model.embed`).
-:func:`transfer` and :func:`b_operator` contract the last site only into
-the block they return (the auxiliary trace, or the (0, 1) block).
+Each Lax entry acts on one tensor factor, so the product is a sum of
+Kronecker products, built as suffix products S_n = L_N(l) ... L_n(l):
+S_n[i,j] = sum_k L_n[k,j] (x) S_{n+1}[i,k], the new site n the slowest
+factor (site 1 slowest overall, as in :func:`sgsov.model.embed`), one
+matmul over k and one transpose copy per site.  Site 1 is contracted by
+one kernel, M[i,j] = sum_k L_1[k,j] (x) S_2[i,k], which :func:`monodromy`,
+:func:`transfer` (blocks (0, 0) + (1, 1)) and :func:`b_operator` (block
+(0, 1)) share, so T = A + D and B match the monodromy bit for bit.
 
 C_n|k> = |-k mod p> sends u, v to u^-1, v^-1, so C_n L_n(l) C_n = sigma_x L_n(l) sigma_x:
 charge conjugation C = C_1 x ... x C_N commutes with T(l) and maps B(l) to C(l).
@@ -77,17 +79,12 @@ class MonodromyMatrix:
     D: np.ndarray
 
 
-def lax(params: ModelParams, n: int, lam: complex) -> LaxMatrix:
-    """Lax matrix at site ``n`` (1-based) and spectral parameter ``lam``.
-
-    ``lam`` must be nonzero since the entries carry both l_n and 1/l_n.
-    """
+def _lax_blocks(params: ModelParams, lam: complex) -> np.ndarray:
+    """Lax blocks of all N sites, shape (N, 2, 2, p, p): the formula above, vectorised."""
     if lam == 0:
         raise ValueError("spectral parameter must be nonzero")
-    if not 1 <= n <= params.N:
-        raise ValueError(f"site must lie in 1..{params.N}, got {n}")
-    kap = params.kappa[n - 1]
-    ln = lam / params.xi[n - 1]
+    kap = params.kappa[:, None, None]
+    ln = (lam / params.xi)[:, None, None]
     qh = params.q_half
     v = clock_matrix(params)
     u = shift_matrix(params)
@@ -98,40 +95,61 @@ def lax(params: ModelParams, n: int, lam: complex) -> LaxMatrix:
     l12 = kap * (ln * v - vinv / ln) / 1j
     l21 = kap * (ln * vinv - v / ln) / 1j
     l22 = kap * (uinv @ (qh / kap * v + kap / qh * vinv))
-    return LaxMatrix(site=n, lam=complex(lam), blocks=np.array([[l11, l12], [l21, l22]]))
+    return np.stack([l11, l12, l21, l22], axis=1).reshape(params.N, 2, 2, params.p, params.p)
 
 
-def _partial_monodromy(params: ModelParams, lam: complex, n_sites: int) -> np.ndarray:
-    """Blocks of L_n(l) ... L_1(l), n = ``n_sites`` >= 0, from identity blocks on C^1."""
-    blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    for n in range(1, n_sites + 1):
-        local = lax(params, n, lam).blocks
-        dim = blocks.shape[-1] * params.p
-        # a, c index sites 1..n-1 (slow), b, d index site n (fast)
-        blocks = np.einsum("ikbd,kjac->ijabcd", local, blocks).reshape(2, 2, dim, dim)
-    return blocks
+def lax(params: ModelParams, n: int, lam: complex) -> LaxMatrix:
+    """Lax matrix at site ``n`` (1-based) and spectral parameter ``lam``.
+
+    ``lam`` must be nonzero since the entries carry both l_n and 1/l_n.
+    """
+    if not 1 <= n <= params.N:
+        raise ValueError(f"site must lie in 1..{params.N}, got {n}")
+    return LaxMatrix(site=n, lam=complex(lam), blocks=_lax_blocks(params, lam)[n - 1])
+
+
+def _factors(params: ModelParams, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Site-1 Lax blocks and the suffix S_2; each transpose moves runs of p^(N-n) entries."""
+    local = _lax_blocks(params, lam)
+    p = params.p
+    suffix = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    for site in local[:0:-1]:
+        d = suffix.shape[-1]
+        # (k, j, a, c) -> ((j, a, c), k) against (i, k, (b, d)): (i, j, a, c, b, d)
+        prod = site.transpose(1, 2, 3, 0).reshape(2 * p * p, 2) @ suffix.reshape(2, 2, d * d)
+        suffix = (prod.reshape(2, 2, p, p, d, d).transpose(0, 1, 2, 4, 3, 5)
+                  .reshape(2, 2, p * d, p * d))
+    return local[0], suffix
+
+
+def _site1(first: np.ndarray, suffix: np.ndarray, *blocks: tuple[int, int]) -> np.ndarray:
+    """Sum of monodromy ``blocks`` (i, j), each one matmul over k in (a, c, b, d) order.
+
+    a, c index site 1; the sum is transposed once to (a, b, c, d).
+    """
+    p, d = first.shape[-1], suffix.shape[-1]
+    prods = [first[:, j].reshape(2, p * p).T @ suffix[i].reshape(2, d * d) for i, j in blocks]
+    total = prods[0]
+    for prod in prods[1:]:
+        total += prod
+    return total.reshape(p, p, d, d).transpose(0, 2, 1, 3).reshape(p * d, p * d)
 
 
 def monodromy(params: ModelParams, lam: complex) -> MonodromyMatrix:
     """Ordered product L_N(l) ... L_1(l) with entries on the full space."""
-    blocks = _partial_monodromy(params, lam, params.N)
-    return MonodromyMatrix(
-        lam=complex(lam), A=blocks[0, 0], B=blocks[0, 1], C=blocks[1, 0], D=blocks[1, 1]
-    )
+    first, suffix = _factors(params, lam)
+    A, B, C, D = (_site1(first, suffix, ij) for ij in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return MonodromyMatrix(lam=complex(lam), A=A, B=B, C=C, D=D)
 
 
 def transfer(params: ModelParams, lam: complex) -> np.ndarray:
     """Transfer matrix T(l) = A(l) + D(l)."""
-    local = lax(params, params.N, lam).blocks
-    blocks = _partial_monodromy(params, lam, params.N - 1)
-    return np.einsum("ikbd,kiac->abcd", local, blocks).reshape(params.dim, params.dim)
+    return _site1(*_factors(params, lam), (0, 0), (1, 1))
 
 
 def b_operator(params: ModelParams, lam: complex) -> np.ndarray:
     """Off-diagonal generator B(l) whose operator zeros separate variables."""
-    local = lax(params, params.N, lam).blocks
-    blocks = _partial_monodromy(params, lam, params.N - 1)
-    return np.einsum("kbd,kac->abcd", local[0], blocks[:, 1]).reshape(params.dim, params.dim)
+    return _site1(*_factors(params, lam), (0, 1))
 
 
 def r_matrix(params: ModelParams, ratio: complex) -> np.ndarray:

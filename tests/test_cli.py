@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sgsov.cli import main
+from sgsov.cli import build_parser, main
 from sgsov.config import load_config
 from sgsov.errors import ConfigError
 
@@ -135,6 +135,17 @@ def test_annulus_too_narrow_for_samples_is_config_error(tmp_path, capsys):
     code = main(["--config", str(path), "--seed", "7", "qfunctions"])
     assert code == 2
     assert "cannot place 7000 separated samples" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused():
+    # main reuses one parser; parsing leaves nothing behind for the next argv
+    assert build_parser() is build_parser()
+    suite = build_parser().parse_args(["--seed", "3", "suite", "--stretch"])
+    plain = build_parser().parse_args(["spectrum"])
+    assert (suite.seed, suite.stretch, suite.ab_initio) == (3, True, False)
+    assert plain.seed is None and plain.command == "spectrum"
+    assert not hasattr(plain, "stretch")
+    assert build_parser().parse_args(["suite"]).stretch is False
 
 
 def test_annulus_budget_is_per_sample(tmp_path, capsys):

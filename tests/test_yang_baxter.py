@@ -15,7 +15,9 @@ from sgsov import (
 )
 from sgsov import laurent
 from conftest import charge_conjugation
+from sgsov.model import clock_matrix, shift_matrix
 from sgsov.yang_baxter import (
+    _lax_blocks,
     b_commutator_residual,
     monodromy_rll_residual,
     transfer_commutator_residual,
@@ -40,6 +42,31 @@ def test_lax_b_block_odd_under_inversion(rng):
     b_at = lax(params, 1, lam).blocks[0, 1]
     b_inv = lax(params, 1, xi ** 2 / lam).blocks[0, 1]
     assert np.allclose(flip @ b_inv @ flip, -b_at, atol=1e-13)
+
+
+def _site_lax(params, n, lam):
+    """Lax blocks of one site, written out per site as in the module docstring."""
+    kap, ln, qh = params.kappa[n - 1], lam / params.xi[n - 1], params.q_half
+    v, u = clock_matrix(params), shift_matrix(params)
+    vinv, uinv = np.conj(v).T, u.T
+    return np.array([
+        [kap * (u @ (kap / qh * v + qh / kap * vinv)), kap * (ln * v - vinv / ln) / 1j],
+        [kap * (ln * vinv - v / ln) / 1j, kap * (uinv @ (qh / kap * v + kap / qh * vinv))],
+    ])
+
+
+@pytest.mark.parametrize("N,p", [(1, 3), (3, 3), (3, 5)])
+@pytest.mark.parametrize("phase", [0.0, 0.6])
+def test_vectorised_lax_blocks_match_each_site(N, p, phase, rng):
+    for _ in range(5):
+        kappa, xi = rng.uniform(0.5, 2.0, (2, N)) * np.exp(1j * rng.uniform(-phase, phase, (2, N)))
+        params = make_params(N, p, 2, kappa, xi)
+        lam = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
+        blocks = _lax_blocks(params, lam)
+        assert blocks.shape == (N, 2, 2, p, p)
+        for n in range(1, N + 1):
+            assert np.array_equal(blocks[n - 1], lax(params, n, lam).blocks)
+            assert np.array_equal(blocks[n - 1], _site_lax(params, n, lam))
 
 
 def test_lax_rejects_zero_lambda():
@@ -151,9 +178,8 @@ def _assert_matches_embedded(params, lam):
     t_op, b_op = transfer(params, lam), b_operator(params, lam)
     np.testing.assert_allclose(t_op, ref[0, 0] + ref[1, 1], rtol=1e-13, atol=1e-13 * scale)
     np.testing.assert_allclose(b_op, ref[0, 1], rtol=1e-13, atol=1e-13 * scale)
-    # bit for bit: the diagonal Lax blocks shift the site index and the
-    # off-diagonal ones keep it, so each entry sums at most two nonzero
-    # products, in the same order as A + D and B
+    # bit for bit: all three contract site 1 with the same kernel, and the
+    # transfer matrix transposes the sum of its two blocks in one pass
     assert np.array_equal(t_op, mono.A + mono.D)
     assert np.array_equal(b_op, mono.B)
 
