@@ -39,7 +39,7 @@ print(f"worst transfer residual of built states at lambda = {lam}: {worst:.2e}")
 det_id = sol.form_factor_table("identity")
 direct_id = sol.direct_table("identity")
 # one row of scales per dual state, indexed [t', t] like the tables
-scale = np.stack([form_factor_det_scale(sol.frame, sol.pairs, tp) for tp in sol.pairs])
+scale = np.stack([form_factor_det_scale(sol.avg, sol.pairs, tp) for tp in sol.pairs])
 off = np.max((np.abs(det_id) / scale)[~np.eye(sol.dim, dtype=bool)])
 const = (np.diag(det_id) / np.diag(direct_id)).mean()
 spread = np.max(np.abs(np.diag(det_id) / np.diag(direct_id) / const - 1))

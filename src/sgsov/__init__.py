@@ -42,7 +42,6 @@ from .spectrum import (
     grid_determinants,
     oracle_spectrum,
     q_from_t,
-    separate_system,
     t_eval,
     tq_residual,
 )

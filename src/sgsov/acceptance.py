@@ -24,6 +24,7 @@ from .observables import form_factor_det_scale
 from .pipeline import ModelSolution, solve
 from .spectrum import ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
 from .yang_baxter import (
+    commutator_residual,
     monodromy,
     transfer,
     transfer_commutator_residual,
@@ -141,11 +142,7 @@ def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator) -> 
         mu = laurent.sample_annulus(rng, 1)[0]
         mono = monodromy(params, mu)
         for other in (mono.A, mono.D, mono.A + mono.D):
-            prod = avg_b @ other
-            worst_central = max(
-                worst_central,
-                float(np.linalg.norm(prod - other @ avg_b) / np.linalg.norm(prod)),
-            )
+            worst_central = max(worst_central, commutator_residual(avg_b, other))
 
     lams = laurent.sample_annulus(rng, n_points)
     prods = np.array(
@@ -354,7 +351,7 @@ def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> Crit
     direct_id = sol.direct_table("identity")
     worst_off = 0.0
     for jp, tp in enumerate(sol.pairs):
-        scale = form_factor_det_scale(sol.frame, sol.pairs, tp, "identity")
+        scale = form_factor_det_scale(sol.avg, sol.pairs, tp, "identity")
         # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
         off = np.delete(np.hypot(det_id[jp].real, det_id[jp].imag) / scale, jp)
         worst_off = max(worst_off, float(off.max()))

@@ -42,6 +42,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateModelError
 from .model import ModelParams
+from .yang_baxter import commutator_residual
 
 __all__ = [
     "AverageData",
@@ -120,8 +121,7 @@ def average_operator(
     ops = [family(params.q ** k * lam) for k in range(1, params.p + 1)]
     for j in range(len(ops)):
         for k in range(j + 1, len(ops)):
-            prod = ops[j] @ ops[k]
-            resid = np.linalg.norm(prod - ops[k] @ ops[j]) / np.linalg.norm(prod)
+            resid = commutator_residual(ops[j], ops[k])
             if resid > tol:
                 raise ValueError(
                     f"family does not commute at averaging points "

@@ -98,10 +98,10 @@ class _Block:
     """A family of records with the same fields, stored by column.
 
     ``fields`` maps each field name, in the family's field order, to a
-    ``numpy`` array whose first axis runs over the records (a column; at
-    least one field is one), or to one value that every record shares (a
-    constant).  The field named ``optional`` appears only in the records
-    where ``mask`` is true.
+    ``numpy`` array whose first axis runs over the records (a column), or
+    to one value that every record shares (a constant).  A family with no
+    column is one record.  The field named ``optional`` appears only in
+    the records where ``mask`` is true.
     """
 
     record: str
@@ -110,7 +110,7 @@ class _Block:
     mask: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return next(len(v) for v in self.fields.values() if isinstance(v, np.ndarray))
+        return next((len(v) for v in self.fields.values() if isinstance(v, np.ndarray)), 1)
 
     def lines(self, fmt: str) -> list[str]:
         """The records as ``_render`` writes them, one template fill per line."""
@@ -161,17 +161,13 @@ def _fill(fields: dict, names: list, keys: dict, layout: tuple, rows, count: int
 
 
 def _render(records: list, fmt: str) -> str:
+    """One line per record; a dict record (no array values) is a one-row family."""
     lines = []
     for rec in records:
-        if isinstance(rec, _Block):
-            lines.extend(rec.lines(fmt))
-        elif fmt == "json":
-            lines.append(json.dumps(_plain(rec), sort_keys=True, separators=(",", ":")))
-        else:
-            rec = _plain(rec)
-            head = rec.pop("record", "row")
-            body = "  ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in rec.items())
-            lines.append(f"{head:24s} {body}")
+        if not isinstance(rec, _Block):
+            fields = dict(rec)
+            rec = _Block(fields.pop("record"), fields)
+        lines.extend(rec.lines(fmt))
     return "\n".join(lines) + "\n"
 
 
@@ -315,7 +311,7 @@ def cmd_spectrum(cfg: RunConfig):
     passed = fit <= fit_tol
     ok &= bool(passed.all())
     records.append(_Block("t_coeffs", {
-        "index": np.array([pr.label for pr in oracle.pairs]),
+        "index": np.arange(len(oracle.pairs)),
         "value": np.array([pr.t_coeffs for pr in oracle.pairs]),
         "fit_residual": fit, "tolerance": fit_tol, "passed": passed,
         "imag_residue": imag, "reality_tolerance": reality_tol,
@@ -344,7 +340,7 @@ def cmd_qfunctions(cfg: RunConfig):
     passed = (fit <= q_tol) & (tq <= tq_tol)
     ok &= bool(passed.all())
     records.append(_Block("Q_coeffs", {
-        "index": np.array([pr.label for pr in oracle.pairs]),
+        "index": np.arange(len(oracle.pairs)),
         "value": np.array([qf.coeffs for qf in q_fns]),
         "degree": np.array([qf.degree for qf in q_fns]), "grid_residual": fit,
         "tq_residual": tq, "tolerance": q_tol, "tq_tolerance": tq_tol,
@@ -374,7 +370,7 @@ def cmd_formfactors(cfg: RunConfig):
             const = complex(diag_ratio.mean())
             worst = 0.0
             for jp, tp in enumerate(sol.pairs):
-                scale = form_factor_det_scale(sol.frame, sol.pairs, tp, tag)
+                scale = form_factor_det_scale(sol.avg, sol.pairs, tp, tag)
                 # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
                 off = np.delete(np.hypot(dets[jp].real, dets[jp].imag) / scale, jp)
                 worst = max(worst, float(off.max()))

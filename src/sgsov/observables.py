@@ -41,6 +41,11 @@ variants (entry quadratic in Q_t, unshifted dual argument, weights at
 y_a(c), q-power offsets) all fail the same cross-validation and are
 rejected by the test suite.
 
+The determinant reads only the separation grids and the Q-function
+values on them and on the negated grids: no separate-variable basis and
+no brute-force vector enters, so the form-factor functions take the grid
+data ``avg`` and the eigenpairs, never a frame.
+
 Form factors are computed one row at a time: one dual state t' against
 all states t in one broadcast step, multiplying the factors in the same
 order as for a single pair, so a row has the bits of its pairs.  A whole
@@ -64,6 +69,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .averages import AverageData
 from .model import ModelParams, embed, shift_matrix
 from .sov_basis import SOVFrame, separate_expansion
 from .spectrum import BaxterCoeffs, QFunction, TransferEigenpair
@@ -116,7 +122,7 @@ def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.n
 
 
 def _phi_rows(
-    frame: SOVFrame,
+    avg: AverageData,
     ts: TransferEigenpair | Sequence[TransferEigenpair],
     tps: Sequence[TransferEigenpair],
     operator_tag: str,
@@ -127,11 +133,10 @@ def _phi_rows(
     directly from its bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which
     stays finite when the dual Q vanishes on a grid point.
     """
-    _require_calibrated(frame)
     ts = [ts] if isinstance(ts, TransferEigenpair) else ts
     if any(t.q_function is None for t in [*ts, *tps]):
         raise ValueError("both eigenpairs need attached Q-functions")
-    params, avg = frame.params, frame.avg
+    params = avg.params
     N, p = params.N, params.p
     cs = np.arange(1, p + 1)
     ks, ks_next = cs % p, (cs + 1) % p
@@ -157,7 +162,7 @@ def _phi_rows(
 
 
 def form_factor_matrix(
-    frame: SOVFrame,
+    avg: AverageData,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str = "identity",
@@ -167,12 +172,12 @@ def form_factor_matrix(
     ``operator_tag`` is one of :data:`OPERATOR_TAGS`.  A sequence ``t``
     gives the row, (len(t), N, N).
     """
-    phi = next(_phi_rows(frame, t, [tp], operator_tag)).sum(axis=-1)
+    phi = next(_phi_rows(avg, t, [tp], operator_tag)).sum(axis=-1)
     return phi[0] if isinstance(t, TransferEigenpair) else phi
 
 
 def form_factor_det_scale(
-    frame: SOVFrame,
+    avg: AverageData,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str = "identity",
@@ -183,28 +188,28 @@ def form_factor_det_scale(
     value is their Hadamard bound (product of column norms), the natural
     yardstick for declaring a determinant 'numerically zero'; one per t.
     """
-    scale = np.abs(next(_phi_rows(frame, t, [tp], operator_tag))).sum(axis=-1)
+    scale = np.abs(next(_phi_rows(avg, t, [tp], operator_tag))).sum(axis=-1)
     bound = np.prod(np.linalg.norm(scale, axis=-2), axis=-1)
     return float(bound[0]) if isinstance(t, TransferEigenpair) else bound
 
 
 def form_factor(
-    frame: SOVFrame,
+    avg: AverageData,
     t: TransferEigenpair | Sequence[TransferEigenpair],
     tp: TransferEigenpair,
     operator_tag: str = "identity",
 ) -> complex | np.ndarray:
-    """Determinant form factor <t'|O|t> in the frame's normalisation (a row
-    of them for a sequence ``t``)."""
-    dets = np.linalg.det(form_factor_matrix(frame, t, tp, operator_tag))
+    """Determinant form factor <t'|O|t> = det Phi (a row of them for a
+    sequence ``t``)."""
+    dets = np.linalg.det(form_factor_matrix(avg, t, tp, operator_tag))
     return complex(dets) if isinstance(t, TransferEigenpair) else dets
 
 
-def form_factor_table(frame: SOVFrame, pairs: Sequence[TransferEigenpair],
+def form_factor_table(avg: AverageData, pairs: Sequence[TransferEigenpair],
                       operator_tag: str = "identity") -> np.ndarray:
     """Form factors det Phi indexed [t', t] over ``pairs``, one row (dual t') per step."""
     return np.stack([np.linalg.det(terms.sum(axis=-1))
-                     for terms in _phi_rows(frame, pairs, pairs, operator_tag)])
+                     for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
 
 
 def u1_operator(params: ModelParams) -> np.ndarray:

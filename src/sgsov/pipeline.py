@@ -54,10 +54,12 @@ def _match_scalar(reference: np.ndarray, target: np.ndarray) -> tuple[complex, f
 class ModelSolution:
     """Everything the pipeline produces for one parameter set and seed.
 
-    ``matched_right`` / ``matched_left`` hold the brute-force eigenvectors
-    and covectors rescaled onto the normalisation of the built separate
-    states (frozen after construction); they are the reference side of
-    the determinant-versus-direct form-factor comparisons.
+    The brute-force eigenvectors and covectors are held once, in
+    ``oracle.right`` and ``oracle.left``.  ``right_scales`` /
+    ``left_scales`` are the per-state factors that carry them onto the
+    normalisation of the built separate states; :meth:`direct_table`
+    applies them on demand, the reference side of the
+    determinant-versus-direct form-factor comparisons.
     """
 
     params: ModelParams
@@ -68,8 +70,8 @@ class ModelSolution:
     reference_index: int
     built_right: np.ndarray     # built eigenstates as columns
     built_left: np.ndarray      # built dual states as rows
-    matched_right: np.ndarray
-    matched_left: np.ndarray
+    right_scales: np.ndarray    # s with s * oracle.right[:, j] ~ built_right[:, j]
+    left_scales: np.ndarray     # s with s * oracle.left[j] ~ built_left[j]
     right_overlaps: np.ndarray  # |<oracle, built>| per state, normalised
     left_overlaps: np.ndarray
 
@@ -90,13 +92,14 @@ class ModelSolution:
 
     def form_factor_table(self, tag: str) -> np.ndarray:
         """Determinant values det Phi indexed [t', t], one row (dual t') per step."""
-        return form_factor_table(self.frame, self.pairs, tag)
+        return form_factor_table(self.avg, self.pairs, tag)
 
     def direct_table(self, tag: str) -> np.ndarray:
-        """Brute-force matrix elements over matched oracle states, [t', t]."""
+        """Brute-force matrix elements over the rescaled oracle states, [t', t]."""
         op = self.operator(tag)
-        mid = self.matched_right if op is None else op @ self.matched_right
-        return self.matched_left @ mid
+        right = self.right_scales * self.oracle.right  # scales first, as s * column: same bits
+        left = self.left_scales[:, None] * self.oracle.left
+        return left @ (right if op is None else op @ right)
 
 
 def _shift_parity(sol: ModelSolution) -> complex:
@@ -114,8 +117,8 @@ def _shift_parity(sol: ModelSolution) -> complex:
     op = u1_operator(sol.params)
     row = sol.built_left[ref] @ op @ sol.built_right
     j = int(np.argmax(np.abs(row)))
-    det = form_factor(sol.frame, sol.pairs[j], sol.pairs[ref], "u1")
-    const = form_factor(sol.frame, sol.pairs[ref], sol.pairs[ref], "identity") / (
+    det = form_factor(sol.avg, sol.pairs[j], sol.pairs[ref], "u1")
+    const = form_factor(sol.avg, sol.pairs[ref], sol.pairs[ref], "identity") / (
         sol.built_left[ref] @ sol.built_right[:, ref]
     )
     return complex(det / (row[j] * const))
@@ -156,21 +159,18 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
         coeff = np.abs(separate_expansion(frame, pair.q_function.grid_values))
         floor.append(coeff.min() / coeff.max())
     reference = int(np.argmax(floor))
-    frame = calibrate_scales(frame, pairs[reference])
+    frame = calibrate_scales(frame, pairs[reference].q_function, oracle.right[:, reference])
 
-    dim = params.dim
     built_right = np.column_stack([build_eigenstate(frame, p.q_function) for p in pairs])
     built_left = np.vstack([build_coeigenstate(frame, p.q_function) for p in pairs])
 
-    matched_right = np.empty_like(built_right)
-    matched_left = np.empty_like(built_left)
-    r_overlap = np.empty(dim)
-    l_overlap = np.empty(dim)
-    for j, pair in enumerate(pairs):
-        s, r_overlap[j] = _match_scalar(pair.vector, built_right[:, j])
-        matched_right[:, j] = s * pair.vector
-        s, l_overlap[j] = _match_scalar(pair.left_vector, built_left[j])
-        matched_left[j] = s * pair.left_vector
+    dim = params.dim
+    r_scale, l_scale = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
+    r_overlap, l_overlap = np.empty(dim), np.empty(dim)
+    # a contiguous copy of each column: np.vdot on a strided one can differ in the last bit
+    for j in range(dim):
+        r_scale[j], r_overlap[j] = _match_scalar(oracle.right[:, j].copy(), built_right[:, j])
+        l_scale[j], l_overlap[j] = _match_scalar(oracle.left[j], built_left[j])
 
     sol = ModelSolution(
         params=params,
@@ -181,8 +181,8 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
         reference_index=reference,
         built_right=built_right,
         built_left=built_left,
-        matched_right=matched_right,
-        matched_left=matched_left,
+        right_scales=r_scale,
+        left_scales=l_scale,
         right_overlaps=r_overlap,
         left_overlaps=l_overlap,
     )

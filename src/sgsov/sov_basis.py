@@ -34,9 +34,9 @@ import numpy as np
 from .averages import AverageData
 from .errors import DegenerateModelError, ToleranceError
 from .model import ModelParams
-from .spectrum import TransferEigenpair, simultaneous_eig
+from .spectrum import QFunction, simultaneous_eig
 from . import laurent
-from .yang_baxter import b_operator
+from .yang_baxter import b_operator, commutator_residual
 
 __all__ = [
     "SOVFrame",
@@ -83,11 +83,6 @@ class SOVFrame:
     def dim(self) -> int:
         return self.right.shape[0]
 
-    def label_index(self, label: tuple[int, ...] | np.ndarray) -> int:
-        """Column index of a label tuple in the canonical ordering."""
-        p, N = self.params.p, self.params.N
-        return int(np.ravel_multi_index(tuple(np.asarray(label)), (p,) * N))
-
     def pairing(self) -> np.ndarray:
         return self.left @ self.right
 
@@ -131,8 +126,7 @@ def diagonalize_b_family(
     ctol = params.tol("commutator")
     for j in range(len(ops)):
         for k in range(j + 1, len(ops)):
-            prod = ops[j] @ ops[k]
-            resid = np.linalg.norm(prod - ops[k] @ ops[j]) / np.linalg.norm(prod)
+            resid = commutator_residual(ops[j], ops[k])
             if resid > ctol:
                 raise ToleranceError(
                     f"[B(l_i), B(l_j)] residual {resid:.3e} exceeds {ctol:.1e}"
@@ -230,35 +224,34 @@ def apply_measure_normalization(frame: SOVFrame) -> SOVFrame:
 
 def calibrate_scales(
     frame: SOVFrame,
-    reference: TransferEigenpair,
+    q_function: QFunction,
+    vector: np.ndarray,
 ) -> SOVFrame:
     """Fix per-vector scales from one reference eigenstate expansion.
 
+    ``q_function`` is the reference eigenvalue's Q-function and ``vector``
+    its brute-force eigenvector (a column of the oracle's ``right``).
     Solves for scales s_h such that the separate-state expansion of the
-    reference Q-function, applied to the rescaled basis, reproduces the
-    reference's brute-force eigenvector exactly.  Scales are then frozen
-    for all subsequent state and form-factor work; the covectors absorb
-    1/s_h so the measure pairing is untouched.
+    Q-function, applied to the rescaled basis, reproduces ``vector``
+    exactly.  Scales are then frozen for all subsequent state work; the
+    covectors absorb 1/s_h so the measure pairing is untouched.
     """
     if frame.measure is None:
         raise ValueError("apply_measure_normalization must run before calibration")
     if frame.calibrated:
         raise ValueError("frame is already calibrated")
-    if reference.q_function is None:
-        raise ValueError("reference eigenpair carries no Q-function")
 
-    coeff = separate_expansion(frame, reference.q_function.grid_values)
+    coeff = separate_expansion(frame, q_function.grid_values)
     cmag = np.abs(coeff)
     if cmag.min() < 1e-12 * cmag.max():
         raise DegenerateModelError(
             "reference Q-function vanishes near a grid point; choose another reference"
         )
-    target = reference.vector
-    weights = np.linalg.solve(frame.right, target)
+    weights = np.linalg.solve(frame.right, vector)
     scales = weights / coeff
     right = frame.right * scales[None, :]
     left = frame.left / scales[:, None]
 
-    resid = np.linalg.norm(right @ coeff - target) / np.linalg.norm(target)
+    resid = np.linalg.norm(right @ coeff - vector) / np.linalg.norm(vector)
     out = replace(frame, right=right, left=left, scales=scales, calibrated=True)
     return out.with_diagnostics(calibration_residual=float(resid))

@@ -55,7 +55,6 @@ __all__ = [
     "baxter_coeffs",
     "t_eval",
     "oracle_spectrum",
-    "separate_system",
     "hadamard_scale",
     "grid_determinants",
     "q_from_t",
@@ -142,17 +141,15 @@ class QFunction:
 
 @dataclass(frozen=True)
 class TransferEigenpair:
-    """One point of the brute-force spectrum.
+    """One point of the brute-force spectrum: its eigenvalue function.
 
-    ``vector`` (column) and ``left_vector`` (row of the inverse
-    eigenvector matrix) are frozen-normalisation oracle data;
-    ``q_function`` is attached by :func:`q_from_t` downstream.
+    The eigenvector of pair j is column j of :attr:`OracleSpectrum.right`
+    and its covector row j of :attr:`OracleSpectrum.left`; the pair holds
+    no copy of either.  ``q_function`` is attached by :func:`q_from_t`
+    downstream.
     """
 
-    label: int
     t_coeffs: np.ndarray
-    vector: np.ndarray
-    left_vector: np.ndarray
     fit_residual: float
     imag_residue: float
     q_function: QFunction | None = None
@@ -328,10 +325,7 @@ def oracle_spectrum(
     imag_residue = np.max(np.abs(coeffs.imag), axis=0) / np.max(np.abs(coeffs), axis=0)
     pairs = [
         TransferEigenpair(
-            label=j,
             t_coeffs=coeffs[:, j].copy(),
-            vector=right[:, j].copy(),
-            left_vector=left[j, :].copy(),
             fit_residual=float(fit_resid[j]),
             imag_residue=float(imag_residue[j]),
         )
@@ -361,22 +355,6 @@ def _cyclic_system(params: ModelParams, coeffs: BaxterCoeffs,
     mat[..., ks, (ks - 1) % p] -= coeffs.a(points)
     mat[..., ks, (ks + 1) % p] -= coeffs.d(points)
     return mat
-
-
-def separate_system(
-    params: ModelParams,
-    avg: AverageData,
-    coeffs: BaxterCoeffs,
-    t_coeffs: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Cyclic tridiagonal system of the TQ equation on grid ``n`` (1-based).
-
-    Row k encodes  t(y_k) Q(y_k) - a(y_k) Q(y_{k-1}) - d(y_k) Q(y_{k+1}) = 0
-    with indices mod p; a polynomial Q solves the equation on this grid
-    iff its value vector lies in the nullspace.
-    """
-    return _cyclic_system(params, coeffs, [t_coeffs], avg.grids[n - 1 : n])[0, 0]
 
 
 def hadamard_scale(mat: np.ndarray) -> float:

@@ -54,6 +54,7 @@ __all__ = [
     "r_matrix",
     "verify_rll",
     "monodromy_rll_residual",
+    "commutator_residual",
     "transfer_commutator_residual",
     "b_commutator_residual",
 ]
@@ -222,16 +223,17 @@ def monodromy_rll_residual(params: ModelParams, lam: complex, mu: complex) -> fl
     return _rll_residual(params, bl, bm, lam, mu)
 
 
-def _commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
+def commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
+    """|[x, y]| / |x y| in Frobenius norm."""
     xy = x @ y
     return float(np.linalg.norm(xy - y @ x) / np.linalg.norm(xy))
 
 
 def transfer_commutator_residual(params: ModelParams, lam: complex, mu: complex) -> float:
     """|[T(l), T(m)]| / |T(l) T(m)| in Frobenius norm."""
-    return _commutator_residual(transfer(params, lam), transfer(params, mu))
+    return commutator_residual(transfer(params, lam), transfer(params, mu))
 
 
 def b_commutator_residual(params: ModelParams, lam: complex, mu: complex) -> float:
     """|[B(l), B(m)]| / |B(l) B(m)| in Frobenius norm."""
-    return _commutator_residual(b_operator(params, lam), b_operator(params, mu))
+    return commutator_residual(b_operator(params, lam), b_operator(params, mu))

@@ -37,6 +37,12 @@ def solution_n1(params_n1):
 
 
 @pytest.fixture(scope="session")
+def solution_n3p5():
+    """N=3, p=5, couplings from seed 7: dimension 125."""
+    return solve(default_instance(seed=7, N=3, p=5), seed=7)
+
+
+@pytest.fixture(scope="session")
 def params_complex():
     """N=3, p=3 with complex couplings; one grid representative needs negating."""
     rng = np.random.default_rng(1)

@@ -3,20 +3,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sgsov
 from sgsov import (
+    baxter_coeffs,
     build_coeigenstate,
     build_eigenstate,
+    compute_grids,
     diagonalize_b_family,
     form_factor,
     form_factor_det_scale,
     form_factor_matrix,
     label_vectors,
-    solve,
+    oracle_spectrum,
+    q_from_t,
     transfer,
     u1_operator,
 )
 from sgsov import laurent
-from sgsov.acceptance import default_instance
+from sgsov.observables import OPERATOR_TAGS, form_factor_table
 
 
 def test_built_states_are_eigenstates(solution7, params7, rng):
@@ -65,7 +69,7 @@ def test_biorthogonality_of_built_states(solution7):
 def test_unknown_operator_tag_rejected(solution7):
     t = solution7.pairs[0]
     with pytest.raises(ValueError, match="unknown operator"):
-        form_factor(solution7.frame, t, t, "u2")
+        form_factor(solution7.avg, t, t, "u2")
 
 
 def test_form_factor_determinant_scaling(solution7, params7):
@@ -78,8 +82,8 @@ def test_form_factor_determinant_scaling(solution7, params7):
         grid_values=s * t.q_function.grid_values,
         neg_grid_values=s * t.q_function.neg_grid_values,
     )
-    base = form_factor(solution7.frame, t, tp, "u1")
-    scaled_det = form_factor(solution7.frame, replace(t, q_function=scaled), tp, "u1")
+    base = form_factor(solution7.avg, t, tp, "u1")
+    scaled_det = form_factor(solution7.avg, replace(t, q_function=scaled), tp, "u1")
     assert scaled_det == pytest.approx(s ** params7.N * base, rel=1e-10)
 
 
@@ -87,7 +91,7 @@ def test_identity_determinants_reproduce_pairings(solution7, params7):
     det = solution7.form_factor_table("identity")
     direct = solution7.direct_table("identity")
     for jp, tp in enumerate(solution7.pairs):
-        scale = form_factor_det_scale(solution7.frame, solution7.pairs, tp, "identity")
+        scale = form_factor_det_scale(solution7.avg, solution7.pairs, tp, "identity")
         off = np.delete(np.abs(det[jp]) / scale, jp)
         assert np.max(off) < 1e-8
     ratios = np.diag(det) / np.diag(direct)
@@ -125,12 +129,10 @@ def test_u1_operator_structure(params7):
     assert np.argmax(np.abs(op @ e)) == 0  # maps to |0,0,0>
 
 
-@pytest.fixture(scope="module", params=["n3p3-complex", "n1p3", "n3p5"])
+@pytest.fixture(params=["solution_complex", "solution_n1", "solution_n3p5"],
+                ids=["n3p3-complex", "n1p3", "n3p5"])
 def any_solution(request):
-    if request.param == "n3p5":
-        return solve(default_instance(seed=7, N=3, p=5), seed=7)
-    return request.getfixturevalue(
-        "solution_complex" if request.param == "n3p3-complex" else "solution_n1")
+    return request.getfixturevalue(request.param)
 
 
 def _reference_table(sol, tag):
@@ -177,16 +179,36 @@ def test_tables_match_entrywise_reference(any_solution, tag):
 
 
 def test_row_form_factors_match_single_pairs(solution7):
-    frame, pairs = solution7.frame, solution7.pairs
+    avg, pairs = solution7.avg, solution7.pairs
     t, tp = pairs[4], pairs[9]
     for tag in ("identity", "u1"):
-        assert form_factor(frame, [t], tp, tag)[0] == form_factor(frame, t, tp, tag)
-        assert np.array_equal(form_factor(frame, pairs, tp, tag),
-                              [form_factor(frame, s, tp, tag) for s in pairs])
+        assert form_factor(avg, [t], tp, tag)[0] == form_factor(avg, t, tp, tag)
+        assert np.array_equal(form_factor(avg, pairs, tp, tag),
+                              [form_factor(avg, s, tp, tag) for s in pairs])
         # a table, with its t'-independent factors built once, has the bits of its rows
         assert np.array_equal(solution7.form_factor_table(tag),
-                              [form_factor(frame, pairs, d, tag) for d in pairs])
-        assert form_factor_det_scale(frame, [t], tp, tag)[0] == form_factor_det_scale(
-            frame, t, tp, tag)
-        assert np.array_equal(form_factor_matrix(frame, [t], tp, tag)[0],
-                              form_factor_matrix(frame, t, tp, tag))
+                              [form_factor(avg, pairs, d, tag) for d in pairs])
+        assert form_factor_det_scale(avg, [t], tp, tag)[0] == form_factor_det_scale(
+            avg, t, tp, tag)
+        assert np.array_equal(form_factor_matrix(avg, [t], tp, tag)[0],
+                              form_factor_matrix(avg, t, tp, tag))
+
+
+@pytest.mark.parametrize("name, seed", [("solution7", 7), ("solution_complex", 1)])
+def test_form_factor_tables_need_only_grids_and_q_values(request, monkeypatch, name, seed):
+    # the tables come from the grid data and the Q-functions of the spectrum
+    # alone: no separate-variable basis is built on the way
+    sol = request.getfixturevalue(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the B family was diagonalised")
+
+    for module in (sgsov, sgsov.sov_basis, sgsov.pipeline):
+        monkeypatch.setattr(module, "diagonalize_b_family", refuse)
+    params = sol.params
+    avg, coeffs = compute_grids(params), baxter_coeffs(params)
+    oracle = oracle_spectrum(params, np.random.SeedSequence(seed).spawn(2)[0])
+    q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
+    pairs = [pr.with_q(qf) for pr, qf in zip(oracle.pairs, q_fns)]
+    for tag in OPERATOR_TAGS:
+        assert np.array_equal(form_factor_table(avg, pairs, tag), sol.form_factor_table(tag))

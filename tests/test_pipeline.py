@@ -34,8 +34,33 @@ def test_no_flip_for_real_couplings(solution7):
 def test_solve_is_deterministic(params7, solution7):
     again = solve(params7, seed=7)
     assert np.array_equal(again.built_right, solution7.built_right)
-    assert np.array_equal(again.matched_left, solution7.matched_left)
+    assert np.array_equal(again.right_scales, solution7.right_scales)
+    assert np.array_equal(again.left_scales, solution7.left_scales)
     assert again.reference_index == solution7.reference_index
+
+
+def _matched_direct_table(sol, tag):
+    """Brute-force matrix elements the way they were first formed: every oracle
+    column and row copied, rescaled onto its built state, and stored."""
+    matched_right = np.empty_like(sol.built_right)
+    matched_left = np.empty_like(sol.built_left)
+    for j in range(sol.dim):
+        vector, left_vector = sol.oracle.right[:, j].copy(), sol.oracle.left[j, :].copy()
+        s, _ = pipeline._match_scalar(vector, sol.built_right[:, j])
+        matched_right[:, j] = s * vector
+        s, _ = pipeline._match_scalar(left_vector, sol.built_left[j])
+        matched_left[j] = s * left_vector
+    op = sol.operator(tag)
+    return matched_left @ (matched_right if op is None else op @ matched_right)
+
+
+@pytest.mark.parametrize("name", ["solution_n1", "solution7", "solution_complex",
+                                  "solution_n3p5"])
+@pytest.mark.parametrize("tag", ["identity", "u1"])
+def test_direct_table_equals_matched_copies(request, name, tag):
+    # the per-state scales applied on demand give the stored rescaled copies bit for bit
+    sol = request.getfixturevalue(name)
+    assert np.array_equal(sol.direct_table(tag), _matched_direct_table(sol, tag))
 
 
 def test_parity_failure_is_degenerate(monkeypatch, capsys):

@@ -137,6 +137,29 @@ def blocks(draw):
     return cli._Block(record, fields, optional=optional, mask=mask)
 
 
+# what dict records hold: scalars, NumPy scalars, and nested lists and dicts of them
+plain_values = st.recursive(
+    st.one_of(st.none(), floats, complexes, st.integers(-10**20, 10**20), st.booleans(),
+              texts, st.builds(np.bool_, st.booleans()), st.builds(np.float64, floats)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def dict_records(draw):
+    keys = draw(st.lists(names, max_size=5, unique=True))
+    rec = {key: draw(plain_values) for key in keys}
+    return {"record": draw(texts), **rec} if draw(st.booleans()) else {**rec, "record": draw(texts)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(dict_records(), blocks()), max_size=4),
+       st.sampled_from(["json", "table"]))
+def test_dict_records_render_as_the_reference_encoder_writes_them(records, fmt):
+    assert cli._render(records, fmt) == reference_render(expand(records), fmt)
+
+
 @settings(max_examples=300, deadline=None)
 @given(blocks(), st.sampled_from(["json", "table"]))
 def test_block_renderer_matches_reference_encoder(block, fmt):

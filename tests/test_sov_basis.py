@@ -110,12 +110,13 @@ def test_stage_order_enforced(params7):
 def test_calibration_reproduces_reference(params7, solution7):
     frame = solution7.frame
     ref = solution7.pairs[solution7.reference_index]
+    vector = solution7.oracle.right[:, solution7.reference_index]
     coeff = separate_expansion(frame, ref.q_function.grid_values)
     rebuilt = frame.right @ coeff
-    assert np.linalg.norm(rebuilt - ref.vector) / np.linalg.norm(ref.vector) < 1e-10
+    assert np.linalg.norm(rebuilt - vector) / np.linalg.norm(vector) < 1e-10
     assert frame.calibrated
     with pytest.raises(ValueError):
-        calibrate_scales(frame, ref)  # double calibration
+        calibrate_scales(frame, ref.q_function, vector)  # double calibration
 
 
 def test_calibration_phase_covariance(params7, solution7):
@@ -125,8 +126,9 @@ def test_calibration_phase_covariance(params7, solution7):
     frame = label_vectors(frame, avg, params7)
     frame = apply_measure_normalization(frame)
     ref = solution7.pairs[solution7.reference_index]
-    cal1 = calibrate_scales(frame, ref)
-    cal2 = calibrate_scales(frame, replace(ref, vector=np.exp(0.7j) * ref.vector))
+    vector = solution7.oracle.right[:, solution7.reference_index]
+    cal1 = calibrate_scales(frame, ref.q_function, vector)
+    cal2 = calibrate_scales(frame, ref.q_function, np.exp(0.7j) * vector)
     ratio = cal2.scales / cal1.scales
     assert np.allclose(ratio, np.exp(0.7j), rtol=1e-10)
 
@@ -138,9 +140,9 @@ def test_calibration_rejects_reference_vanishing_on_grid(params7, solution7):
     ref = solution7.pairs[solution7.reference_index]
     grid = ref.q_function.grid_values.copy()
     grid[0, 0] = 0.0
-    ref = replace(ref, q_function=replace(ref.q_function, grid_values=grid))
+    q_function = replace(ref.q_function, grid_values=grid)
     with pytest.raises(DegenerateModelError, match="vanishes near a grid point"):
-        calibrate_scales(frame, ref)
+        calibrate_scales(frame, q_function, solution7.oracle.right[:, solution7.reference_index])
 
 
 def test_calibration_requires_measure(params7, solution7):
@@ -148,4 +150,5 @@ def test_calibration_requires_measure(params7, solution7):
     frame = diagonalize_b_family(params7, avg, 99)
     frame = label_vectors(frame, avg, params7)
     with pytest.raises(ValueError, match="measure"):
-        calibrate_scales(frame, solution7.pairs[solution7.reference_index])
+        calibrate_scales(frame, solution7.pairs[solution7.reference_index].q_function,
+                         solution7.oracle.right[:, solution7.reference_index])

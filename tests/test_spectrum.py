@@ -10,7 +10,6 @@ from sgsov import (
     make_params,
     oracle_spectrum,
     q_from_t,
-    separate_system,
     t_eval,
     tq_residual,
     transfer,
@@ -79,7 +78,7 @@ def test_separate_system_constant_action(solution7, params7):
     avg, coeffs = solution7.avg, solution7.coeffs
     pair = solution7.pairs[0]
     for n in range(1, params7.N + 1):
-        mat = separate_system(params7, avg, coeffs, pair.t_coeffs, n)
+        mat = spectrum._cyclic_system(params7, coeffs, [pair.t_coeffs], avg.grids[n - 1 : n])[0, 0]
         y = avg.grids[n - 1]
         expected = t_eval(pair.t_coeffs, y) - coeffs.a(y) - coeffs.d(y)
         assert np.allclose(mat @ np.ones(params7.p), expected, rtol=1e-12)
