@@ -27,7 +27,6 @@ from .observables import (
 from .pipeline import ModelSolution, solve
 from .sov_basis import (
     SOVFrame,
-    apply_measure_normalization,
     calibrate_scales,
     diagonalize_b_family,
     label_vectors,

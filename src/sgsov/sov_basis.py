@@ -1,15 +1,17 @@
 """Separate-variable basis: joint diagonalisation of the B family.
 
 The commuting family B(l) is diagonalised once through a seeded random
-linear combination over >= N+1 sample points; every eigenvector is then
-certified against each family member.  Grid labels come from operator
-zeros: eigenvector w carries label (h_1, ..., h_N) when B evaluated at
-the grid point y_n(h_n) annihilates w, exactly one point per variable.
+linear combination over N+1 sample points; every eigenvector is certified
+against each family member.  Grid labels come from the eigenvalues: the
+zeros of an eigenvalue of B are the separate variables, so eigenvector w
+carries label (h_1, ..., h_N) when its eigenvalue vanishes at the grid
+point y_n(h_n), exactly one point per variable.  l^N B(l) is a polynomial
+of degree N in l^2, so the N+1 sampled eigenvalues fix it on the grids.
 
-Stage order is enforced: ``diagonalize_b_family`` -> ``label_vectors``
--> ``apply_measure_normalization`` -> ``calibrate_scales``.  After
-labelling, columns are sorted so that the column index of label h is
-``sum_n h_n p^(N-n)``.
+:func:`diagonalize_b_family` returns the finished frame in one pass:
+columns sorted so that the column index of label h is
+``sum_n h_n p^(N-n)`` (:func:`grid_labels`), covectors measure-normalised.
+:func:`calibrate_scales` is the one later stage.
 
 Left covectors are the rows of the inverse of the right-eigenvector
 matrix (exact biorthogonality by construction; the condition number is
@@ -27,6 +29,7 @@ the decisive non-circular validation carried out in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -42,11 +45,19 @@ __all__ = [
     "SOVFrame",
     "diagonalize_b_family",
     "label_vectors",
-    "apply_measure_normalization",
     "calibrate_scales",
+    "grid_labels",
     "vandermonde_weights",
     "separate_expansion",
 ]
+
+
+@lru_cache(maxsize=None)
+def grid_labels(N: int, p: int) -> np.ndarray:
+    """Label (h_1, ..., h_N) of every frame column: row i holds the base-p digits of i."""
+    labels = np.indices((p,) * N).reshape(N, -1).T.copy()  # C order: np.prod rounds by layout
+    labels.flags.writeable = False  # shared by every caller
+    return labels
 
 
 def vandermonde_weights(grids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -62,19 +73,19 @@ def vandermonde_weights(grids: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SOVFrame:
-    """Right/left separate-variable bases with grid labels and scales.
+    """Right/left separate-variable bases in canonical label order, with scales.
 
     ``right`` holds basis vectors as columns, ``left`` covectors as rows;
-    ``left @ right`` is diagonal (equal to ``measure`` once normalised).
+    column i carries label ``grid_labels(N, p)[i]`` and ``left @ right`` is
+    diagonal, equal to ``measure`` until calibration rescales both sides.
     """
 
     params: ModelParams
     avg: AverageData
     right: np.ndarray
     left: np.ndarray
-    labels: np.ndarray | None = None       # (dim, N) grid exponents per column
-    vandermonde: np.ndarray | None = None  # (dim,) pair products per label
-    measure: np.ndarray | None = None      # (dim,) target diagonal pairing
+    vandermonde: np.ndarray                # (dim,) pair products per label
+    measure: np.ndarray                    # (dim,) target diagonal pairing
     scales: np.ndarray | None = None       # (dim,) calibration factors
     calibrated: bool = False
     diagnostics: Mapping[str, float] = field(default_factory=dict)
@@ -86,11 +97,6 @@ class SOVFrame:
     def pairing(self) -> np.ndarray:
         return self.left @ self.right
 
-    def with_diagnostics(self, **extra: float) -> "SOVFrame":
-        merged = dict(self.diagnostics)
-        merged.update(extra)
-        return replace(self, diagnostics=merged)
-
 
 def separate_expansion(frame: SOVFrame, per_variable: np.ndarray) -> np.ndarray:
     """Coefficients  c_h = prod_n per_variable[n, h_n] * V(h)  over all labels.
@@ -99,10 +105,8 @@ def separate_expansion(frame: SOVFrame, per_variable: np.ndarray) -> np.ndarray:
     product over variables is weighted by the pair factor V(h) so that
     separate states read  state = right @ c.
     """
-    if frame.labels is None or frame.vandermonde is None:
-        raise ValueError("frame must be labelled before expanding separate states")
     n_vars = frame.params.N
-    factors = per_variable[np.arange(n_vars)[None, :], frame.labels]
+    factors = per_variable[np.arange(n_vars)[None, :], grid_labels(n_vars, frame.params.p)]
     return np.prod(factors, axis=1) * frame.vandermonde
 
 
@@ -111,11 +115,13 @@ def diagonalize_b_family(
     avg: AverageData,
     seed: int | np.random.SeedSequence = 0,
 ) -> SOVFrame:
-    """Joint right eigenbasis of B(l) over N+1 random sample points.
+    """Labelled, measure-normalised joint eigenbasis of B(l), in one pass.
 
-    Left covectors are the inverse rows.  Raises when eigenvectors fail
-    to be simultaneous (residual above the ``simdiag`` tolerance) or when
-    random combinations keep colliding.
+    B is diagonalised at N+1 random sample points; raises when eigenvectors
+    fail to be simultaneous (residual above the ``simdiag`` tolerance) or
+    when random combinations keep colliding.  Columns are labelled from
+    their eigenvalue rows (:func:`label_vectors`) and put in canonical
+    order; the covectors, the inverse rows, are scaled to the measure.
     """
     rng = np.random.default_rng(seed)
     lams = laurent.sample_annulus(
@@ -132,7 +138,7 @@ def diagonalize_b_family(
                     f"[B(l_i), B(l_j)] residual {resid:.3e} exceeds {ctol:.1e}"
                 )
 
-    right, left, _, worst = simultaneous_eig(
+    right, left, eigvals, worst = simultaneous_eig(
         ops, rng, collision_tol=params.tol("eig_collision")
     )
     stol = params.tol("simdiag")
@@ -140,33 +146,47 @@ def diagonalize_b_family(
         raise ToleranceError(
             f"simultaneous-eigenvector residual {worst:.3e} exceeds {stol:.1e}"
         )
+    condition = float(np.linalg.cond(right))
+    order, best = label_vectors(params, avg, lams, eigvals)
 
-    return SOVFrame(
-        params=params,
-        avg=avg,
-        right=right,
-        left=left,
-        diagnostics={
-            "simdiag_residual": worst,
-            "condition_number": float(np.linalg.cond(right)),
-        },
-    )
+    v = vandermonde_weights(avg.grids, grid_labels(params.N, params.p))
+    if np.min(np.abs(v)) == 0 or not np.all(np.isfinite(v)):
+        raise DegenerateModelError("vanishing measure denominator: grid collision")
+    measure = 1.0 / v
+    right, left = right[:, order], measure[:, None] * left[order, :]
+    # pairing quality is recorded here: calibration rescales rows and columns
+    # with a wide dynamic range, which amplifies the (otherwise exact)
+    # inversion error without changing the construction's content
+    pairing = left @ right
+    diag = np.diag(pairing)
+    offdiag = float(np.max(np.abs(pairing - np.diag(diag))) / np.max(np.abs(diag)))
+    deviation = float(np.max(np.abs(diag - measure) / np.abs(measure)))
+    return SOVFrame(params, avg, right, left, v, measure, diagnostics={
+        "simdiag_residual": worst, "condition_number": condition, "label_best_residual": best,
+        "pairing_offdiag": offdiag, "measure_deviation": deviation})
 
 
-def label_vectors(frame: SOVFrame, avg: AverageData, params: ModelParams) -> SOVFrame:
-    """Label every eigenvector by its annihilating grid point per variable.
+def label_vectors(params: ModelParams, avg: AverageData, lams: np.ndarray,
+                  eigvals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Column order that sorts the B eigenbasis by grid label, and the worst
+    annihilating residual.
 
-    For each column exactly one grid point per variable must satisfy
-    |B(y) w| <= tol; the resulting map onto {0..p-1}^N must be a
-    bijection.  Columns (and covector rows) are reordered canonically.
+    ``eigvals[j, c]`` is the eigenvalue of column c on B(lams[j]).  As l^N B(l)
+    is a polynomial of degree N in l^2, interpolation weights W give every
+    eigenvalue on the grids exactly: b(y) = sum_j W_j(y) b(l_j).  Column c
+    carries label h when b_c vanishes at y_n(h_n), judged by the relative
+    residual |W b_c| / (|W| |b_c|) against the ``label`` tolerance: exactly
+    one grid point per variable, and the labels a bijection onto {0..p-1}^N.
     """
-    N, p, dim = params.N, params.p, frame.dim
+    N, p = params.N, params.p
     tol = params.tol("label")
-    resid = np.empty((N, p, dim))
-    for n in range(N):
-        for k in range(p):
-            op = b_operator(params, avg.grids[n, k])
-            resid[n, k] = np.linalg.norm(op @ frame.right, axis=0) / np.linalg.norm(op)
+    # W_j(y) = (l_j / y)^N prod_{k != j} (y^2 - l_k^2) / (l_j^2 - l_k^2)
+    y, lams = avg.grids.ravel()[:, None], np.asarray(lams)
+    weights = (lams / y) ** N
+    for k in range(len(lams)):
+        others = np.arange(len(lams)) != k
+        weights[:, others] *= (y**2 - lams[k] ** 2) / (lams[others] ** 2 - lams[k] ** 2)
+    resid = (np.abs(weights @ eigvals) / (np.abs(weights) @ np.abs(eigvals))).reshape(N, p, -1)
 
     hits = resid <= tol
     per_vector_hits = hits.sum(axis=(0, 1))
@@ -177,49 +197,15 @@ def label_vectors(frame: SOVFrame, avg: AverageData, params: ModelParams) -> SOV
             f"expected exactly {N}: degenerate or mislabelled configuration"
         )
 
-    labels = np.argmin(resid, axis=1).T  # (dim, N)
+    labels = np.argmin(resid, axis=1)  # (N, dim)
     best = np.min(resid, axis=1)
     if np.any(best > tol):
         raise DegenerateModelError("a variable has no annihilating grid point")
 
-    idx = np.ravel_multi_index(labels.T, (p,) * N)
-    if sorted(idx) != list(range(dim)):
+    idx = np.ravel_multi_index(labels, (p,) * N)
+    if sorted(idx) != list(range(len(idx))):
         raise DegenerateModelError("grid labelling is not a bijection onto {0..p-1}^N")
-
-    order = np.argsort(idx)
-    labels = labels[order]
-    frame = replace(
-        frame,
-        right=frame.right[:, order],
-        left=frame.left[order, :],
-        labels=labels,
-        vandermonde=vandermonde_weights(avg.grids, labels),
-    )
-    return frame.with_diagnostics(label_best_residual=float(best.max()))
-
-
-def apply_measure_normalization(frame: SOVFrame) -> SOVFrame:
-    """Rescale covectors so the diagonal pairing equals the measure.
-
-    The measure for label h is the inverse pair product 1/V(h); right
-    vectors keep their (still free) scales.
-    """
-    if frame.labels is None:
-        raise ValueError("frame must be labelled before measure normalisation")
-    v = frame.vandermonde
-    if np.min(np.abs(v)) == 0 or not np.all(np.isfinite(v)):
-        raise DegenerateModelError("vanishing measure denominator: grid collision")
-    measure = 1.0 / v
-    left = measure[:, None] * frame.left
-    out = replace(frame, left=left, measure=measure)
-    # record pairing quality here: later calibration rescales rows and
-    # columns with a wide dynamic range, which amplifies the (otherwise
-    # exact) inversion error without changing the construction's content
-    pairing = out.pairing()
-    diag = np.diag(pairing)
-    offdiag = float(np.max(np.abs(pairing - np.diag(diag))) / np.max(np.abs(diag)))
-    deviation = float(np.max(np.abs(diag - measure) / np.abs(measure)))
-    return out.with_diagnostics(pairing_offdiag=offdiag, measure_deviation=deviation)
+    return np.argsort(idx), float(best.max())
 
 
 def calibrate_scales(
@@ -236,8 +222,6 @@ def calibrate_scales(
     exactly.  Scales are then frozen for all subsequent state work; the
     covectors absorb 1/s_h so the measure pairing is untouched.
     """
-    if frame.measure is None:
-        raise ValueError("apply_measure_normalization must run before calibration")
     if frame.calibrated:
         raise ValueError("frame is already calibrated")
 
@@ -253,5 +237,5 @@ def calibrate_scales(
     left = frame.left / scales[:, None]
 
     resid = np.linalg.norm(right @ coeff - vector) / np.linalg.norm(vector)
-    out = replace(frame, right=right, left=left, scales=scales, calibrated=True)
-    return out.with_diagnostics(calibration_residual=float(resid))
+    return replace(frame, right=right, left=left, scales=scales, calibrated=True,
+                   diagnostics={**frame.diagnostics, "calibration_residual": float(resid)})

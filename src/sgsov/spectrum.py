@@ -65,6 +65,10 @@ __all__ = [
 #: Random combinations drawn before a colliding spectrum counts as degenerate.
 _EIG_RETRIES = 5
 
+#: Absolute floor on the oracle's ``min_coeff_gap`` that the ``spectrum`` record
+#: and criterion 5 require of a simple spectrum.
+MIN_COEFF_GAP = 1e-8
+
 
 class BaxterCoeffs:
     """The Laurent-polynomial coefficients a(l), d(l) of the TQ equation.
@@ -117,9 +121,10 @@ class QFunction:
 
     Coefficients are unit-norm with the global phase rotated to minimise
     the total imaginary weight (Q is only defined up to normalisation);
-    ``imag_residue`` records what remains.  Grid values are evaluations
-    of the fitted polynomial on the separation grids and their negatives
-    (the latter enter the dual states and form factors).
+    ``imag_residue`` records what remains.  Grid values are Q on the
+    separation grids and their negatives (the latter enter the dual states
+    and form factors): each orbit's null vector times its scale from the
+    joint fit, which carries more digits there than the fitted polynomial.
     """
 
     coeffs: np.ndarray            # (N(p-1)+1,) low to high
@@ -392,7 +397,8 @@ def q_from_t(
     values feed the dual states).  One SVD of all M x 2N orbit systems gives per
     orbit a (numerically) one-dimensional nullspace: the Q values up to one scale.
     A second stacked SVD solves the M joint homogeneous systems, rows then unknowns
-    balanced to unit norm, for the polynomial coefficients and the 2N orbit scales.
+    balanced to unit norm, for the polynomial coefficients and the 2N orbit scales;
+    the grid values are the null vectors times those scales.
     With 2Np equations against N(p-1) + 2N + 1 unknowns each is overdetermined, so
     ``fit_residual`` (the smallest singular value at unit solution norm) checks that
     one polynomial of degree <= N(p-1) reproduces every orbit.  The checks run on
@@ -412,12 +418,13 @@ def q_from_t(
     orbits = np.vstack([avg.grids, -avg.grids])  # (2N, p)
     _, svals, vh = np.linalg.svd(_cyclic_system(params, coeffs, t_stack, orbits))
     gaps = svals[..., -2] / svals[..., 0]  # (M, 2N)
+    null = vh[..., -1, :].conj()  # (M, 2N, p)
 
     # rows: Q(points[m, k]) - scale_m * nullvec_m[k] = 0
     rows = np.arange(2 * N * p)
     design = np.zeros((M, 2 * N * p, deg + 1 + 2 * N), dtype=complex)
     design[:, :, : deg + 1] = orbits.reshape(-1)[:, None] ** np.arange(deg + 1)[None, :]
-    design[:, rows, deg + 1 + rows // p] = -vh[..., -1, :].conj().reshape(M, -1)
+    design[:, rows, deg + 1 + rows // p] = -null.reshape(M, -1)
     # equilibrate: balance equations, then unknowns (monomial columns grow
     # like max|y|^j and would otherwise swamp the singular-value gap)
     design /= np.linalg.norm(design, axis=-1)[..., None]
@@ -426,8 +433,8 @@ def q_from_t(
 
     _, svals, vh = np.linalg.svd(design)
     solution = vh[:, -1].conj() / col_scale
-    qc, scales = solution[:, : deg + 1], np.abs(solution[:, deg + 1 :])
-    collapsed = np.min(scales, axis=1) < 1e-10 * np.max(scales, axis=1)
+    qc, scales = solution[:, : deg + 1], solution[:, deg + 1 :]
+    collapsed = np.min(np.abs(scales), axis=1) < 1e-10 * np.max(np.abs(scales), axis=1)
     failed = (gaps < gap_tol).any(axis=1) | (svals[:, -2] < gap_tol) | collapsed
     if failed.any():  # what a loop over eigenvalues, each over its orbits, would meet first
         j = np.argmax(failed)
@@ -440,18 +447,21 @@ def q_from_t(
                 f"joint Q system is rank deficient (second singular value {svals[j, -2]:.3e})")
         raise DegenerateModelError("a per-variable scale collapsed in the joint Q solve")
 
-    # global phase: rotate to minimise the imaginary weight, then fix sign
-    s2 = np.sum(qc ** 2, axis=1)
-    qc = np.where((np.abs(s2) > 0)[:, None], qc * np.exp(-0.5j * np.angle(s2))[:, None], qc)
-    qc = np.where((qc[np.arange(M), np.argmax(np.abs(qc), axis=1)].real < 0)[:, None], -qc, qc)
+    # Q on the orbits: each null vector times its orbit scale from the joint fit
+    values = scales[..., None] * null  # (M, 2N, p)
+    # global phase: rotate to minimise the imaginary weight (angle 0 gives 1 when
+    # the weight vanishes), then fix sign; the orbit values take the same factors
+    phase = np.exp(-0.5j * np.angle(np.sum(qc ** 2, axis=1)))
+    qc, values = qc * phase[:, None], values * phase[:, None, None]
+    flip = qc[np.arange(M), np.argmax(np.abs(qc), axis=1)].real < 0
+    qc, values = np.where(flip[:, None], -qc, qc), np.where(flip[:, None, None], -values, values)
     # row norms as np.linalg.norm forms them for one vector: dot(re, re) + dot(im, im)
-    qc = qc / np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0] for x in (qc.real, qc.imag)))
+    norm = np.sqrt(sum((x[:, None, :] @ x[:, :, None])[:, 0] for x in (qc.real, qc.imag)))
+    qc, values = qc / norm, values / norm[:, None]
     imag_residue = np.max(np.abs(qc.imag), axis=1) / np.max(np.abs(qc), axis=1)
 
-    poly = np.polynomial.polynomial.polyval
-    values = [poly(x, qc.T, tensor=True) for x in (avg.grids, -avg.grids)]  # (M, N, p) each
     q_fns = [QFunction(*fields) for fields in zip(  # in QFunction field order
-        qc, *values, svals[:, -1].tolist(), gaps, imag_residue.tolist())]
+        qc, values[:, :N], values[:, N:], svals[:, -1].tolist(), gaps, imag_residue.tolist())]
     return q_fns[0] if np.ndim(t_coeffs) == 1 else q_fns
 
 

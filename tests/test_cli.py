@@ -163,3 +163,18 @@ def test_degenerate_q_system_exits_4(capsys):
     assert code == 4
     assert ("grid system 2 has a nullspace of dimension > 1 (singular-value gap 2.372e-07)"
             in capsys.readouterr().err)
+
+
+def test_complex_form_factors_hold_the_u1_ratio_bound(capsys):
+    # a complex (3,3) draw whose u1 ratio spread was 1.07e-6 (against ff_ratio
+    # 1e-6) with Q read off the fitted polynomial on the grids; the orbit null
+    # vectors bring it to about 3e-9
+    code, out = run(
+        capsys, "--seed", "296035956", "--n-sites", "3", "--p", "3", "--format", "json",
+        "--kappa", "(1.0620459272472875-0.35029669128542834j),(1.1887096198081064-0.40635455834755274j),"
+                   "(1.5302555992199682+0.04778477154618436j)",
+        "--xi", "(0.5955986175551831-0.08616214717366334j),(0.9685598330238491+0.14213602733117212j),"
+                "(1.3091976807954409+0.2099566408302678j)",
+        "formfactors")
+    spread = next(r for r in map(json.loads, out.splitlines()) if r["record"] == "u1_ratio_spread")
+    assert code == 0 and spread["passed"]

@@ -29,6 +29,26 @@ def test_sample_annulus_matches_scalar_separation_test(seed):
     assert got.tobytes() == want.tobytes()
 
 
+def _signalling_empty(empty):
+    """``np.empty`` whose float64 and complex128 buffers hold signalling NaNs."""
+    def filled(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype in (np.float64, np.complex128):
+            out.reshape(-1).view(np.uint64)[:] = 0x7FF4000000000000
+        return out
+    return filled
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_annulus_computes_nothing_from_unfilled_memory(monkeypatch):
+    # arithmetic on a signalling NaN raises "invalid value encountered"
+    monkeypatch.setattr(np, "empty", _signalling_empty(np.empty))
+    assert np.empty(1, dtype=complex).view(np.uint64)[0] == 0x7FF4000000000000
+    avoid = np.array([1.5, -0.7j, 0.9 + 0.9j])
+    got = laurent.sample_annulus(np.random.default_rng(3), 4, avoid=avoid, min_rel_dist=1e-2)
+    assert got.shape == (4,) and np.all((np.abs(got) >= 0.5) & (np.abs(got) <= 2.0))
+
+
 def _sample_without_bound(rng, count, r_min, r_max, min_rel_dist, max_tries):
     """The draw loop alone: ``max_tries`` draws per sample, ``None`` when one runs out."""
     out = []

@@ -13,7 +13,6 @@ from sgsov import (
     form_factor,
     form_factor_det_scale,
     form_factor_matrix,
-    label_vectors,
     oracle_spectrum,
     q_from_t,
     transfer,
@@ -54,7 +53,7 @@ def test_zero_q_gives_zero_state(solution7):
 
 def test_uncalibrated_frame_rejected(params7, solution7):
     avg = solution7.avg
-    frame = label_vectors(diagonalize_b_family(params7, avg, 4), avg, params7)
+    frame = diagonalize_b_family(params7, avg, 4)
     with pytest.raises(ValueError, match="calibrated"):
         build_eigenstate(frame, solution7.pairs[0].q_function)
 
@@ -138,12 +137,14 @@ def any_solution(request):
 def _reference_table(sol, tag):
     """det Phi indexed [t', t], each Phi[a, b] summed term by term over c
     from the formula of the module docstring, and the Hadamard bound of
-    the summed term magnitudes, the scale of the determinant's rounding."""
+    the summed term magnitudes, the scale of the determinant's rounding.
+    Q is read on the grids as ``q_from_t`` forms it there."""
     params, avg = sol.params, sol.avg
     N, p, q = params.N, params.p, params.q
-    ys = avg.grids[:, np.arange(p + 2) % p]                   # y_a(c), c = 0..p+1
-    q_t = np.array([pr.q_function(ys) for pr in sol.pairs])   # Q_t(y_a(c))
-    q_d = np.array([pr.q_function(-ys) for pr in sol.pairs])  # Q_t'(-y_a(c))
+    cs = np.arange(p + 2) % p
+    ys = avg.grids[:, cs]                                                       # y_a(c), c = 0..p+1
+    q_t = np.array([pr.q_function.grid_values[:, cs] for pr in sol.pairs])      # Q_t(y_a(c))
+    q_d = np.array([pr.q_function.neg_grid_values[:, cs] for pr in sol.pairs])  # Q_t'(-y_a(c))
     xi1, kap1 = params.xi[0], params.kappa[0]
     phi = np.zeros((params.dim, params.dim, N, N), dtype=complex)
     mag = np.zeros(phi.shape)

@@ -277,7 +277,10 @@ def test_oracle_eigensolver_follows_couplings(instance, solver, inverses, reques
 
 
 def _q_loop_reference(params, avg, coeffs, t_coeffs, max_degree=None):
-    """One eigenvalue at a time, one orbit at a time: the unstacked reconstruction."""
+    """One eigenvalue at a time, one orbit at a time: the unstacked reconstruction.
+
+    Q on the orbits is each orbit's null vector times its scale from the joint
+    fit, with the phase, sign and norm factors of the coefficients."""
     N, p = params.N, params.p
     deg = N * (p - 1) if max_degree is None else max_degree
     gap_tol = params.tol("nullspace_gap")
@@ -312,15 +315,16 @@ def _q_loop_reference(params, avg, coeffs, t_coeffs, max_degree=None):
     qc, scales = solution[: deg + 1], solution[deg + 1 :]
     if np.min(np.abs(scales)) < 1e-10 * np.max(np.abs(scales)):
         raise DegenerateModelError("a per-variable scale collapsed in the joint Q solve")
+    values = scales[:, None] * orbit_vals
     s2 = np.sum(qc ** 2)
     if abs(s2) > 0:
-        qc = qc * np.exp(-0.5j * np.angle(s2))
+        qc, values = qc * np.exp(-0.5j * np.angle(s2)), values * np.exp(-0.5j * np.angle(s2))
     if qc[np.argmax(np.abs(qc))].real < 0:
-        qc = -qc
-    qc = qc / np.linalg.norm(qc)
-    poly = np.polynomial.polynomial.polyval
+        qc, values = -qc, -values
+    norm = np.linalg.norm(qc)
+    qc, values = qc / norm, values / norm
     return spectrum.QFunction(
-        coeffs=qc, grid_values=poly(avg.grids, qc), neg_grid_values=poly(-avg.grids, qc),
+        coeffs=qc, grid_values=values[:N], neg_grid_values=values[N:],
         fit_residual=float(svals[-1]), nullspace_gaps=gaps,
         imag_residue=float(np.max(np.abs(qc.imag)) / np.max(np.abs(qc))))
 
