@@ -20,7 +20,7 @@ import numpy as np
 from . import laurent
 from .averages import average_operator, f_function
 from .model import ModelParams, make_params
-from .observables import form_factor_det_scale
+from .observables import OPERATOR_TAGS, form_factor_table
 from .pipeline import ModelSolution, solve
 from .spectrum import MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
 from .yang_baxter import (
@@ -31,7 +31,8 @@ from .yang_baxter import (
     verify_rll,
 )
 
-__all__ = ["CriterionResult", "SuiteReport", "default_instance", "run_suite", "CRITERIA"]
+__all__ = ["CriterionResult", "FormFactorVerdict", "SuiteReport", "default_instance",
+           "form_factor_verdict", "run_suite", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -329,46 +330,63 @@ def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator) -> Crite
     )
 
 
-def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
-    """Determinant form factors reproduce dense matrix elements.
+@dataclass(frozen=True)
+class FormFactorVerdict:
+    """Criterion 8 computed once, for the suite, ``sgsov formfactors`` and demo 04.
 
-    Identity: off-diagonal determinants vanish against their entry scale
-    and the diagonal determinant/direct ratio is one constant; the shift
-    generator's ratio must equal the same constant over every pair.
+    ``tables[tag]`` is (det, direct, det / direct), indexed [t', t]; ``tolerances``
+    bounds each ``measured`` number under the same key."""
+
+    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    constant: complex
+    measured: dict[str, float]
+    tolerances: dict[str, float]
+
+    @property
+    def passed(self) -> dict[str, bool]:
+        return {key: value <= self.tolerances[key] for key, value in self.measured.items()}
+
+
+def form_factor_verdict(sol: ModelSolution) -> FormFactorVerdict:
+    """Determinant form factors against dense matrix elements, one pass per table.
+
+    Identity: off-diagonal |det| vanishes against its Hadamard scale and the diagonal
+    det/direct ratio is one constant, their mean; the shift generator's ratio must
+    equal the same constant over every pair.
     """
-    t0 = time.perf_counter()
-    params = sol.params
-    off_tol = params.tol("ff_offdiag")
-    ratio_tol = params.tol("ff_ratio")
-
-    det_id = sol.form_factor_table("identity")
-    direct_id = sol.direct_table("identity")
-    worst_off = 0.0
-    for jp, tp in enumerate(sol.pairs):
-        scale = form_factor_det_scale(sol.avg, sol.pairs, tp, "identity")
-        # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
-        off = np.delete(np.hypot(det_id[jp].real, det_id[jp].imag) / scale, jp)
-        worst_off = max(worst_off, float(off.max()))
-    diag_ratio = np.diag(det_id) / np.diag(direct_id)
+    tables, scales = {}, {}
+    for tag in OPERATOR_TAGS:
+        det, scales[tag] = form_factor_table(sol.avg, sol.pairs, tag)
+        direct = sol.direct_table(tag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tables[tag] = (det, direct, det / direct)  # off-diagonal identity ratios are unused
+    det_id, _, ratio_id = tables["identity"]
+    # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
+    off = np.hypot(det_id.real, det_id.imag) / scales["identity"]
+    diag_ratio = np.diag(ratio_id)
     const = complex(diag_ratio.mean())
-    diag_spread = float(np.max(np.abs(diag_ratio / const - 1)))
+    ratio_tol = sol.params.tol("ff_ratio")
+    return FormFactorVerdict(tables, const, measured={
+        "identity_offdiag_max": float(off[~np.eye(len(off), dtype=bool)].max()),
+        "identity_diag_spread": float(np.max(np.abs(diag_ratio / const - 1))),
+        "u1_ratio_spread": float(np.max(np.abs(tables["u1"][2] / const - 1))),
+    }, tolerances={"identity_offdiag_max": sol.params.tol("ff_offdiag"),
+                   "identity_diag_spread": ratio_tol, "u1_ratio_spread": ratio_tol})
 
-    det_u1 = sol.form_factor_table("u1")
-    direct_u1 = sol.direct_table("u1")
-    u1_ratio = det_u1 / direct_u1
-    u1_spread = float(np.max(np.abs(u1_ratio / const - 1)))
 
+def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+    """Determinant form factors reproduce dense matrix elements (:func:`form_factor_verdict`)."""
+    t0 = time.perf_counter()
+    verdict = form_factor_verdict(sol)
     return CriterionResult(
         cid="8",
         name="form_factor_determinants",
-        passed=(worst_off <= off_tol and diag_spread <= ratio_tol and u1_spread <= ratio_tol),
-        tolerance=ratio_tol,
+        passed=all(verdict.passed.values()),
+        tolerance=verdict.tolerances["u1_ratio_spread"],
         measured={
-            "identity_offdiag_max": float(worst_off),
-            "identity_diag_spread": diag_spread,
-            "u1_ratio_spread": u1_spread,
-            "normalisation_constant": [const.real, const.imag],
-            "offdiag_tolerance": off_tol,
+            **verdict.measured,
+            "normalisation_constant": [verdict.constant.real, verdict.constant.imag],
+            "offdiag_tolerance": verdict.tolerances["identity_offdiag_max"],
         },
         runtime_s=time.perf_counter() - t0,
         budget_s=120.0,

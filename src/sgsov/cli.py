@@ -28,11 +28,12 @@ from typing import Any
 import numpy as np
 
 from . import laurent
-from .acceptance import CRITERIA, run_suite
+from .acceptance import CRITERIA, form_factor_verdict, run_suite
 from .averages import compute_grids
 from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateModelError, ToleranceError
-from .observables import form_factor_det_scale
+# unused here; perfbench's test_tracer_rebinds_and_restores reads it from this module
+from .observables import form_factor_det_scale  # noqa: F401
 from .pipeline import solve
 from .sov_basis import diagonalize_b_family, grid_labels
 from .spectrum import MIN_COEFF_GAP, baxter_coeffs, oracle_spectrum, q_from_t, tq_residual
@@ -348,46 +349,23 @@ def cmd_qfunctions(cfg: RunConfig):
 
 
 def cmd_formfactors(cfg: RunConfig):
-    params = cfg.make_model()
-    sol = solve(params, seed=cfg.seed)
-    off_tol = params.tol("ff_offdiag")
-    ratio_tol = params.tol("ff_ratio")
-    records, ok = [], True
-
-    for tag in ("identity", "u1"):
-        dets, directs = sol.form_factor_table(tag), sol.direct_table(tag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = dets / directs  # off-diagonal identity ratios are not written
+    verdict = form_factor_verdict(solve(cfg.make_model(), seed=cfg.seed))
+    const = {"constant": verdict.constant}
+    # (verdict key, record name, extra fields), written after each operator's Phi block
+    checks = {"identity": [("identity_offdiag_max", "identity_offdiag_max", {}),
+                           ("identity_diag_spread", "identity_diag_ratio_spread", const)],
+              "u1": [("u1_ratio_spread", "u1_ratio_spread", const)]}
+    records = []
+    for tag, (dets, directs, ratios) in verdict.tables.items():
         rows, cols = np.indices(dets.shape).reshape(2, -1)
         records.append(_Block("Phi", {
             "operator": tag, "row": rows, "col": cols, "det": dets.ravel(),
-            "direct": directs.ravel(), "ratio": ratio.ravel(),
+            "direct": directs.ravel(), "ratio": ratios.ravel(),
         }, optional=None if tag == "u1" else "ratio", mask=rows == cols))
-        if tag == "identity":
-            diag_ratio = np.diag(ratio)
-            const = complex(diag_ratio.mean())
-            worst = 0.0
-            for jp, tp in enumerate(sol.pairs):
-                scale = form_factor_det_scale(sol.avg, sol.pairs, tp, tag)
-                # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
-                off = np.delete(np.hypot(dets[jp].real, dets[jp].imag) / scale, jp)
-                worst = max(worst, float(off.max()))
-            passed = worst <= off_tol
-            ok &= passed
-            records.append({"record": "identity_offdiag_max", "value": worst,
-                            "tolerance": off_tol, "passed": passed})
-            spread = float(np.max(np.abs(diag_ratio / const - 1)))
-            passed = spread <= ratio_tol
-            ok &= passed
-            records.append({"record": "identity_diag_ratio_spread", "value": spread,
-                            "constant": const, "tolerance": ratio_tol, "passed": passed})
-        else:
-            spread = float(np.max(np.abs(ratio / const - 1)))
-            passed = spread <= ratio_tol
-            ok &= passed
-            records.append({"record": "u1_ratio_spread", "value": spread,
-                            "constant": const, "tolerance": ratio_tol, "passed": passed})
-    return records, ok
+        records += [{"record": name, "value": verdict.measured[key], **extra,
+                     "tolerance": verdict.tolerances[key], "passed": verdict.passed[key]}
+                    for key, name, extra in checks[tag]]
+    return records, all(verdict.passed.values())
 
 
 def cmd_suite(cfg: RunConfig, ab_initio: bool = False, stretch: bool = False):

@@ -46,10 +46,12 @@ values on them and on the negated grids: no separate-variable basis and
 no brute-force vector enters, so the form-factor functions take the grid
 data ``avg`` and the eigenpairs, never a frame.
 
-Form factors are computed one row at a time: one dual state t' against
-all states t in one broadcast step, multiplying the factors in the same
-order as for a single pair, so a row has the bits of its pairs.  A whole
-table builds the t'-independent factors once and reuses them per row.
+A table of form factors is computed one row at a time: one dual state
+t' against all states t in one broadcast step, multiplying the factors
+in the same order as for a single pair, so a row has the bits of its
+pairs.  The t'-independent factors are built once and reused per row,
+and each row's c-terms give both its determinants and their Hadamard
+scales.  The single-pair functions take one (t, t') pair.
 
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
@@ -123,7 +125,7 @@ def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.n
 
 def _phi_rows(
     avg: AverageData,
-    ts: TransferEigenpair | Sequence[TransferEigenpair],
+    ts: Sequence[TransferEigenpair],
     tps: Sequence[TransferEigenpair],
     operator_tag: str,
 ):
@@ -133,7 +135,6 @@ def _phi_rows(
     directly from its bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which
     stays finite when the dual Q vanishes on a grid point.
     """
-    ts = [ts] if isinstance(ts, TransferEigenpair) else ts
     if any(t.q_function is None for t in [*ts, *tps]):
         raise ValueError("both eigenpairs need attached Q-functions")
     params = avg.params
@@ -161,55 +162,53 @@ def _phi_rows(
         yield terms
 
 
+def _hadamard_scale(terms: np.ndarray) -> np.ndarray:
+    """Hadamard bound (product of column norms) of the summed c-term magnitudes."""
+    return np.prod(np.linalg.norm(np.abs(terms).sum(axis=-1), axis=-2), axis=-1)
+
+
 def form_factor_matrix(
     avg: AverageData,
-    t: TransferEigenpair | Sequence[TransferEigenpair],
+    t: TransferEigenpair,
     tp: TransferEigenpair,
     operator_tag: str = "identity",
 ) -> np.ndarray:
-    """The N x N moment matrix Phi whose determinant is <t'|O|t>.
-
-    ``operator_tag`` is one of :data:`OPERATOR_TAGS`.  A sequence ``t``
-    gives the row, (len(t), N, N).
-    """
-    phi = next(_phi_rows(avg, t, [tp], operator_tag)).sum(axis=-1)
-    return phi[0] if isinstance(t, TransferEigenpair) else phi
+    """The N x N moment matrix Phi whose determinant is <t'|O|t>, O one of :data:`OPERATOR_TAGS`."""
+    return next(_phi_rows(avg, [t], [tp], operator_tag)).sum(axis=-1)[0]
 
 
 def form_factor_det_scale(
     avg: AverageData,
-    t: TransferEigenpair | Sequence[TransferEigenpair],
+    t: TransferEigenpair,
     tp: TransferEigenpair,
     operator_tag: str = "identity",
-) -> float | np.ndarray:
+) -> float:
     """Cancellation-free magnitude scale for the determinant.
 
     Entry scales are the summed magnitudes of the c-terms; the returned
     value is their Hadamard bound (product of column norms), the natural
-    yardstick for declaring a determinant 'numerically zero'; one per t.
+    yardstick for declaring a determinant 'numerically zero'.
     """
-    scale = np.abs(next(_phi_rows(avg, t, [tp], operator_tag))).sum(axis=-1)
-    bound = np.prod(np.linalg.norm(scale, axis=-2), axis=-1)
-    return float(bound[0]) if isinstance(t, TransferEigenpair) else bound
+    return float(_hadamard_scale(next(_phi_rows(avg, [t], [tp], operator_tag)))[0])
 
 
 def form_factor(
     avg: AverageData,
-    t: TransferEigenpair | Sequence[TransferEigenpair],
+    t: TransferEigenpair,
     tp: TransferEigenpair,
     operator_tag: str = "identity",
-) -> complex | np.ndarray:
-    """Determinant form factor <t'|O|t> = det Phi (a row of them for a
-    sequence ``t``)."""
-    dets = np.linalg.det(form_factor_matrix(avg, t, tp, operator_tag))
-    return complex(dets) if isinstance(t, TransferEigenpair) else dets
+) -> complex:
+    """Determinant form factor <t'|O|t> = det Phi."""
+    return complex(np.linalg.det(form_factor_matrix(avg, t, tp, operator_tag)))
 
 
 def form_factor_table(avg: AverageData, pairs: Sequence[TransferEigenpair],
-                      operator_tag: str = "identity") -> np.ndarray:
-    """Form factors det Phi indexed [t', t] over ``pairs``, one row (dual t') per step."""
-    return np.stack([np.linalg.det(terms.sum(axis=-1))
-                     for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
+                      operator_tag: str = "identity") -> tuple[np.ndarray, np.ndarray]:
+    """Form factors det Phi and their Hadamard scales (:func:`form_factor_det_scale`),
+    both indexed [t', t] over ``pairs``, one row (dual t') per step."""
+    dets, scales = zip(*[(np.linalg.det(terms.sum(axis=-1)), _hadamard_scale(terms))
+                         for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
+    return np.stack(dets), np.stack(scales)
 
 
 def u1_operator(params: ModelParams) -> np.ndarray:

@@ -90,7 +90,7 @@ class ModelSolution:
 
     def form_factor_table(self, tag: str) -> np.ndarray:
         """Determinant values det Phi indexed [t', t], one row (dual t') per step."""
-        return form_factor_table(self.avg, self.pairs, tag)
+        return form_factor_table(self.avg, self.pairs, tag)[0]
 
     def direct_table(self, tag: str) -> np.ndarray:
         """Brute-force matrix elements over the rescaled oracle states, [t', t]."""

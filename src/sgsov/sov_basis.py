@@ -127,7 +127,9 @@ def diagonalize_b_family(
     lams = laurent.sample_annulus(
         rng, params.N + 1, avoid=avg.all_points(negated=True), min_rel_dist=1e-2
     )
-    ops = [b_operator(params, lam) for lam in lams]
+    ops = np.empty((len(lams), params.dim, params.dim), dtype=complex)  # one stack, never copied
+    for k, lam in enumerate(lams):
+        ops[k] = b_operator(params, lam)
 
     ctol = params.tol("commutator")
     for j in range(len(ops)):

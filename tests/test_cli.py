@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import sgsov
+from sgsov.acceptance import criterion_form_factors, run_suite
 from sgsov.cli import build_parser, main
 from sgsov.config import load_config
 from sgsov.errors import ConfigError
@@ -178,3 +180,32 @@ def test_complex_form_factors_hold_the_u1_ratio_bound(capsys):
         "formfactors")
     spread = next(r for r in map(json.loads, out.splitlines()) if r["record"] == "u1_ratio_spread")
     assert code == 0 and spread["passed"]
+
+
+def test_formfactors_records_are_criterion_8(capsys):
+    # the command renders criterion 8's verdict: at an unreachable ratio
+    # tolerance both fail, with the same numbers
+    code, out = run(capsys, "--seed", "7", "--format", "json", "--tol.ff_ratio=1e-15",
+                    "formfactors")
+    assert code == 3
+    records = {r["record"]: r for r in map(json.loads, out.splitlines()) if r["record"] != "Phi"}
+    params = load_config(overrides={"tolerances": {"ff_ratio": 1e-15}}).make_model()
+    crit = next(r for r in run_suite(params, 7).results if r.cid == "8")
+    assert not crit.passed
+    assert [(r["value"], r["passed"]) for r in records.values()] == [
+        (crit.measured["identity_offdiag_max"], True),
+        (crit.measured["identity_diag_spread"], False),
+        (crit.measured["u1_ratio_spread"], False),
+    ]
+    assert records["u1_ratio_spread"]["constant"] == crit.measured["normalisation_constant"]
+
+
+def test_formfactors_need_no_per_row_scales(monkeypatch, capsys, solution7, rng):
+    # the Hadamard scales come from the table pass, never one dual state at a time
+    def refuse(*args, **kwargs):
+        raise AssertionError("form_factor_det_scale was called")
+
+    for module in (sgsov.observables, sgsov.acceptance, sgsov.cli):
+        monkeypatch.setattr(module, "form_factor_det_scale", refuse, raising=False)
+    assert run(capsys, "--seed", "7", "formfactors")[0] == 0
+    assert criterion_form_factors(solution7, rng).passed

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from sgsov import (
     diagonalize_b_family,
     form_factor,
     form_factor_det_scale,
-    form_factor_matrix,
     oracle_spectrum,
     q_from_t,
     transfer,
@@ -87,12 +87,10 @@ def test_form_factor_determinant_scaling(solution7, params7):
 
 
 def test_identity_determinants_reproduce_pairings(solution7, params7):
-    det = solution7.form_factor_table("identity")
+    det, scale = form_factor_table(solution7.avg, solution7.pairs, "identity")
     direct = solution7.direct_table("identity")
-    for jp, tp in enumerate(solution7.pairs):
-        scale = form_factor_det_scale(solution7.avg, solution7.pairs, tp, "identity")
-        off = np.delete(np.abs(det[jp]) / scale, jp)
-        assert np.max(off) < 1e-8
+    off = (np.abs(det) / scale)[~np.eye(len(det), dtype=bool)]
+    assert np.max(off) < 1e-8
     ratios = np.diag(det) / np.diag(direct)
     assert np.max(np.abs(ratios / ratios.mean() - 1)) < 1e-6
 
@@ -179,20 +177,17 @@ def test_tables_match_entrywise_reference(any_solution, tag):
     assert np.max(np.abs(got - ref) / scale) < 1e-12
 
 
-def test_row_form_factors_match_single_pairs(solution7):
-    avg, pairs = solution7.avg, solution7.pairs
-    t, tp = pairs[4], pairs[9]
-    for tag in ("identity", "u1"):
-        assert form_factor(avg, [t], tp, tag)[0] == form_factor(avg, t, tp, tag)
-        assert np.array_equal(form_factor(avg, pairs, tp, tag),
-                              [form_factor(avg, s, tp, tag) for s in pairs])
-        # a table, with its t'-independent factors built once, has the bits of its rows
-        assert np.array_equal(solution7.form_factor_table(tag),
-                              [form_factor(avg, pairs, d, tag) for d in pairs])
-        assert form_factor_det_scale(avg, [t], tp, tag)[0] == form_factor_det_scale(
-            avg, t, tp, tag)
-        assert np.array_equal(form_factor_matrix(avg, [t], tp, tag)[0],
-                              form_factor_matrix(avg, t, tp, tag))
+def test_row_form_factors_match_single_pairs(solution7, solution_complex):
+    # a table, with its t'-independent factors built once and each row's
+    # c-terms giving both determinants and scales, has the bits of its pairs
+    for sol, tag in itertools.product((solution7, solution_complex), OPERATOR_TAGS):
+        avg, pairs = sol.avg, sol.pairs
+        dets, scales = form_factor_table(avg, pairs, tag)
+        assert np.array_equal(dets, sol.form_factor_table(tag))
+        assert np.array_equal(dets, [[form_factor(avg, t, tp, tag) for t in pairs]
+                                     for tp in pairs])
+        assert np.array_equal(scales, [[form_factor_det_scale(avg, t, tp, tag) for t in pairs]
+                                       for tp in pairs])
 
 
 @pytest.mark.parametrize("name, seed", [("solution7", 7), ("solution_complex", 1)])
@@ -212,4 +207,6 @@ def test_form_factor_tables_need_only_grids_and_q_values(request, monkeypatch, n
     q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
     pairs = [pr.with_q(qf) for pr, qf in zip(oracle.pairs, q_fns)]
     for tag in OPERATOR_TAGS:
-        assert np.array_equal(form_factor_table(avg, pairs, tag), sol.form_factor_table(tag))
+        for got, want in zip(form_factor_table(avg, pairs, tag),
+                             form_factor_table(sol.avg, sol.pairs, tag)):
+            assert np.array_equal(got, want)
