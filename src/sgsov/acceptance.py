@@ -20,7 +20,7 @@ import numpy as np
 from . import laurent
 from .averages import average_operator, f_function
 from .model import ModelParams, make_params
-from .observables import OPERATOR_TAGS, form_factor_table
+from .observables import form_factor_table, identity_table
 from .pipeline import ModelSolution, solve
 from .spectrum import MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
 from .yang_baxter import (
@@ -354,16 +354,15 @@ def form_factor_verdict(sol: ModelSolution) -> FormFactorVerdict:
     det/direct ratio is one constant, their mean; the shift generator's ratio must
     equal the same constant over every pair.
     """
-    tables, scales = {}, {}
-    for tag in OPERATOR_TAGS:
-        det, scales[tag] = form_factor_table(sol.avg, sol.pairs, tag)
+    det_id, scale_id = identity_table(sol.avg, sol.pairs)
+    tables = {}
+    for tag, det in (("identity", det_id), ("u1", form_factor_table(sol.avg, sol.pairs, "u1"))):
         direct = sol.direct_table(tag)
         with np.errstate(divide="ignore", invalid="ignore"):
             tables[tag] = (det, direct, det / direct)  # off-diagonal identity ratios are unused
-    det_id, _, ratio_id = tables["identity"]
     # np.hypot is the scalar abs(); np.abs on complex arrays can differ by an ulp
-    off = np.hypot(det_id.real, det_id.imag) / scales["identity"]
-    diag_ratio = np.diag(ratio_id)
+    off = np.hypot(det_id.real, det_id.imag) / scale_id
+    diag_ratio = np.diag(tables["identity"][2])
     const = complex(diag_ratio.mean())
     ratio_tol = sol.params.tol("ff_ratio")
     return FormFactorVerdict(tables, const, measured={

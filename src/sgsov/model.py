@@ -54,7 +54,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "label": 1e-8,                # annihilation residual defining grid labels
     "measure": 1e-8,              # pairing vs separate-variable measure
     # transfer spectrum and Q-functions
-    "fit": 1e-9,                  # eigenvalue Laurent-class fit, held out
+    "fit": 1e-9,                  # held-out T(l) and t(l) against the Laurent coefficients
     "det_zero": 1e-8,             # grid determinant vanishing (Hadamard scaled)
     "nullspace_gap": 1e-6,        # required second-singular-value of grid systems
     "q_fit": 1e-8,                # joint grid least-squares residual for Q

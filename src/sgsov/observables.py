@@ -49,9 +49,9 @@ data ``avg`` and the eigenpairs, never a frame.
 A table of form factors is computed one row at a time: one dual state
 t' against all states t in one broadcast step, multiplying the factors
 in the same order as for a single pair, so a row has the bits of its
-pairs.  The t'-independent factors are built once and reused per row,
-and each row's c-terms give both its determinants and their Hadamard
-scales.  The single-pair functions take one (t, t') pair.
+pairs.  The t'-independent factors are built once per table; the
+identity table's c-terms also give the Hadamard scales against which its
+off-diagonal entries vanish.  The single-pair functions take one pair.
 
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
@@ -83,6 +83,7 @@ __all__ = [
     "form_factor_matrix",
     "form_factor",
     "form_factor_table",
+    "identity_table",
     "u1_operator",
 ]
 
@@ -203,11 +204,18 @@ def form_factor(
 
 
 def form_factor_table(avg: AverageData, pairs: Sequence[TransferEigenpair],
-                      operator_tag: str = "identity") -> tuple[np.ndarray, np.ndarray]:
-    """Form factors det Phi and their Hadamard scales (:func:`form_factor_det_scale`),
-    both indexed [t', t] over ``pairs``, one row (dual t') per step."""
+                      operator_tag: str = "identity") -> np.ndarray:
+    """Form factors det Phi indexed [t', t] over ``pairs``, one row (dual t') per step."""
+    return np.stack([np.linalg.det(terms.sum(axis=-1))
+                     for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
+
+
+def identity_table(avg: AverageData,
+                   pairs: Sequence[TransferEigenpair]) -> tuple[np.ndarray, np.ndarray]:
+    """The identity :func:`form_factor_table` and, from the same c-terms, the Hadamard scales
+    (:func:`form_factor_det_scale`) against which its off-diagonal entries vanish."""
     dets, scales = zip(*[(np.linalg.det(terms.sum(axis=-1)), _hadamard_scale(terms))
-                         for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
+                         for terms in _phi_rows(avg, pairs, pairs, "identity")])
     return np.stack(dets), np.stack(scales)
 
 

@@ -20,7 +20,6 @@ from .observables import (
     build_coeigenstate,
     build_eigenstate,
     form_factor,
-    form_factor_table,
     u1_operator,
 )
 from .sov_basis import (
@@ -87,10 +86,6 @@ class ModelSolution:
         if tag == "u1":
             return u1_operator(self.params)
         raise ValueError(f"unknown operator tag {tag!r}")
-
-    def form_factor_table(self, tag: str) -> np.ndarray:
-        """Determinant values det Phi indexed [t', t], one row (dual t') per step."""
-        return form_factor_table(self.avg, self.pairs, tag)[0]
 
     def direct_table(self, tag: str) -> np.ndarray:
         """Brute-force matrix elements over the rescaled oracle states, [t', t]."""

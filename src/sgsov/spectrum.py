@@ -22,19 +22,20 @@ not depend on t, so the systems of a whole spectrum are stacked and
 solved by two batched SVDs; a failing check raises the error a loop over
 the eigenvalues in order would raise first (:func:`q_from_t`).
 
-The brute-force spectrum ("oracle") is obtained by simultaneous
-diagonalisation of transfer matrices at several spectral parameters via
-a seeded random linear combination, with every eigenvector certified
-against each family member.  The family is certified to commute with the charge
-conjugation C|k_1..k_N> = |-k_1..-k_N mod p> and diagonalised in its even and odd
-sectors; C maps B(l) to the monodromy entry C(l), so the B family is not split.
-For real kappa_n, xi_n, T(l)^H = T(l*) (:mod:`sgsov.yang_baxter`), so each sector is
-diagonalised with ``eigh`` and no inverse; complex couplings take ``eig`` and ``inv``.
+The brute-force spectrum ("oracle") diagonalises the N Laurent-coefficient operators of
+l^(N-1) T(l) = sum_k l^(2k) T_k, which carry the whole family, by a seeded random
+combination; every eigenvector is certified against each T_k, whose eigenvalues are the
+coefficients c_k.  The family is certified to commute with the charge conjugation
+C|k_1..k_N> = |-k_1..-k_N mod p> and diagonalised in its even and odd sectors; C maps B(l)
+to C(l), so the B family is not split.  For real kappa_n, xi_n, T_k^H = T_k (see
+:mod:`sgsov.yang_baxter`), so each sector is diagonalised with ``eigh`` and no inverse;
+complex couplings take ``eig`` and ``inv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -168,18 +169,34 @@ class TransferEigenpair:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Full brute-force diagonalisation of the commuting transfer family."""
+    """Full brute-force diagonalisation of the commuting transfer family, held per C-sector."""
 
     params: ModelParams
     pairs: list[TransferEigenpair]
-    right: np.ndarray             # eigenvectors as columns
-    left: np.ndarray              # inverse of ``right``; rows are covectors
-    lambda_samples: np.ndarray
+    lambda_samples: np.ndarray    # the N ring points, then the held-out one
     residual: float               # worst column residual |T w - t w| / |T| per C-sector
     min_coeff_gap: float          # min pairwise distance of t-coefficient vectors
+    sectors: tuple                # (right, left) of the even, then the odd C-sector
+    order: np.ndarray             # basis order of the sector blocks (:meth:`_unfold`)
+    rank: np.ndarray              # pair j is sector column rank[j], even columns first
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def right(self) -> np.ndarray:  # eigenvectors as columns, unfolded on first read
+        return self._unfold(self.sectors[0][0], self.sectors[1][0])[:, self.rank]
+
+    @cached_property
+    def left(self) -> np.ndarray:  # inverse of ``right``; rows are covectors
+        return self._unfold(self.sectors[0][1].T, self.sectors[1][1].T).T[self.rank]
+
+    def _unfold(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """P @ blockdiag(even, odd) in the original basis."""
+        h, out = np.sqrt(0.5), np.empty((len(self.order),) * 2, dtype=complex)
+        out[self.order] = np.block([[even[:1], np.zeros((1, len(odd)))],
+                                    [h * even[1:], h * odd], [h * even[1:], -h * odd]])
+        return out
 
 
 def simultaneous_eig(
@@ -261,41 +278,42 @@ def _sector_blocks(ops: Sequence[np.ndarray], order: np.ndarray, tol: float):
     return even, 0.5 * (diag - cross)
 
 
-def _unfold(even: np.ndarray, odd: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """P @ blockdiag(even, odd) in the original basis."""
-    h, out = np.sqrt(0.5), np.empty((len(order), len(order)), dtype=complex)
-    out[order] = np.block([[even[:1], np.zeros((1, len(odd)))],
-                           [h * even[1:], h * odd], [h * even[1:], -h * odd]])
-    return out
-
-
 def oracle_spectrum(
     params: ModelParams,
     seed: int | np.random.SeedSequence = 0,
 ) -> OracleSpectrum:
-    """Brute-force transfer spectrum with Laurent-class eigenvalue fits.
+    """Brute-force transfer spectrum on the Laurent-coefficient operators T_k.
 
-    Transfer matrices at N+2 random spectral parameters, plus 3 held out, are certified
-    C-symmetric to the ``commutator`` tolerance and simultaneously diagonalised per C-sector
-    (``eigh`` for real couplings); a column residual above ``simdiag`` raises ToleranceError.
-    Eigenvalue samples are fitted to the class l^(N-1) t(l) in R[l^2]_(N-1) and validated on
-    the held-out parameters.  Eigenpairs of both sectors must be distinct and are sorted by
-    coefficient vectors for deterministic output.
+    T is built at N ring points l_j = exp(i(theta + pi j / N)) and one held-out point l_h, each
+    certified C-symmetric (``commutator``) and reduced to its C-sectors; V[j, k] = l_j^(2k-N+1)
+    has V^H V = N on the ring, so T_k = (V^H / N) T(l_j), and sum_k l_h^(2k-N+1) T_k must match
+    T(l_h) to ``fit`` (relative Frobenius norm per sector).  [T_0..T_{N-1}, T(l_h)] is diagonalised
+    per C-sector (:func:`simultaneous_eig`, gated by ``simdiag``): N rows of t-coefficients, and
+    t(l_h) for ``fit_residual``.  Eigenpairs must be distinct; they are sorted by coefficients.
     """
     N, dim = params.N, params.dim
     rng = np.random.default_rng(seed)
-    n_fit = N + 2
-    lams = laurent.sample_annulus(rng, n_fit + 3)
+    ring = np.exp(1j * (rng.uniform(0, 2 * np.pi) + np.pi * np.arange(N) / N))
+    lams = np.append(ring, laurent.sample_annulus(rng, 1, avoid=ring))
     # basis order [|0..0>, representatives i < C(i), their partners C(i)]
     shape = (params.p,) * N
     image = np.ravel_multi_index(-np.indices(shape).reshape(N, -1) % params.p, shape)
     order = np.concatenate([[0], reps := np.flatnonzero(np.arange(dim) < image), image[reps]])
     step = max(1, 2**16 // dim**2)  # operators per batch of 1 MiB; each dropped once reduced
-    even, odd = (np.empty((len(lams), m, m), dtype=complex) for m in ((dim + 1) // 2, dim // 2))
-    for k in range(0, len(lams), step):
+    even, odd = (np.empty((N + 1, m, m), dtype=complex) for m in ((dim + 1) // 2, dim // 2))
+    for k in range(0, N + 1, step):
         even[k : k + step], odd[k : k + step] = _sector_blocks(
             [transfer(params, lam) for lam in lams[k : k + step]], order, params.tol("commutator"))
-    hermitian = not (params.kappa.imag.any() or params.xi.imag.any())  # T(l)^H = T(l*)
+    powers = laurent.transfer_powers(N)
+    dft, held_out = (ring[:, None] ** powers).conj().T / N, lams[N] ** powers
+    for sector in (even, odd):  # T_k over the ring builds, then the held-out check
+        sector[:N] = np.tensordot(dft, sector[:N], axes=1)
+        defect = (np.linalg.norm(np.tensordot(held_out, sector[:N], axes=1) - sector[N])
+                  / np.linalg.norm(sector[N]))
+        if defect > params.tol("fit"):
+            raise ToleranceError(f"held-out transfer matrix: |sum_k l^m_k T_k - T(l)| / |T(l)| "
+                                 f"= {defect:.3e} > {params.tol('fit'):.1e}")
+    hermitian = not (params.kappa.imag.any() or params.xi.imag.any())  # T_k^H = T_k
     sim_tol = params.tol("simdiag")
     (right_e, left_e, vals_e, resid_e), (right_o, left_o, vals_o, resid_o) = (
         simultaneous_eig(sector, rng, params.tol("eig_collision"), hermitian, sim_tol)
@@ -304,47 +322,26 @@ def oracle_spectrum(
         raise ToleranceError(f"oracle simultaneous-eigenvector residual "
                              f"{max(resid_e, resid_o):.3e} exceeds {sim_tol:.1e}")
     eigvals = np.hstack([vals_e, vals_o])
-
-    powers = laurent.transfer_powers(N)
-    coeffs = laurent.fit(lams[:n_fit], eigvals[:n_fit], powers)  # (N, dim)
-    predicted = laurent.evaluate(coeffs, powers, lams[n_fit:])
-    actual = eigvals[n_fit:]
-    fit_resid = np.max(np.abs(predicted - actual) / np.abs(actual), axis=0)
+    coeffs, actual = eigvals[:N], eigvals[N]  # (N, dim) t-coefficients, t(l_h)
+    fit_resid = np.abs(held_out @ coeffs - actual) / np.abs(actual)
 
     # deterministic ordering by stacked real/imaginary coefficient parts
-    keys = np.vstack([np.round(coeffs.real, 9), np.round(coeffs.imag, 9)])
-    rank = np.lexsort(keys[::-1])
-    coeffs = coeffs[:, rank]
-    right = _unfold(right_e, right_o, order)[:, rank]
-    left = _unfold(left_e.T, left_o.T, order).T[rank, :]
-    fit_resid = fit_resid[rank]
+    rank = np.lexsort(np.vstack([np.round(coeffs.real, 9), np.round(coeffs.imag, 9)])[::-1])
+    coeffs, fit_resid = coeffs[:, rank], fit_resid[rank]
 
     cdiff = sum(abs(c[:, None] - c[None, :]) ** 2 for c in coeffs)  # dim^2 memory
     np.fill_diagonal(cdiff, np.inf)
     min_gap = float(np.sqrt(cdiff.min()))
     if min_gap < 1e-10 * np.max(np.abs(coeffs)):
-        raise DegenerateModelError(
-            f"two eigenvalue functions coincide (gap {min_gap:.3e}): spectrum not simple"
-        )
+        raise DegenerateModelError(f"two eigenvalue functions coincide (gap {min_gap:.3e}): "
+                                   "spectrum not simple")
 
     imag_residue = np.max(np.abs(coeffs.imag), axis=0) / np.max(np.abs(coeffs), axis=0)
-    pairs = [
-        TransferEigenpair(
-            t_coeffs=coeffs[:, j].copy(),
-            fit_residual=float(fit_resid[j]),
-            imag_residue=float(imag_residue[j]),
-        )
-        for j in range(dim)
-    ]
-    return OracleSpectrum(
-        params=params,
-        pairs=pairs,
-        right=right,
-        left=left,
-        lambda_samples=lams,
-        residual=max(resid_e, resid_o),
-        min_coeff_gap=min_gap,
-    )
+    pairs = [TransferEigenpair(c.copy(), float(f), float(i))
+             for c, f, i in zip(coeffs.T, fit_resid, imag_residue)]
+    return OracleSpectrum(params, pairs, lambda_samples=lams, residual=max(resid_e, resid_o),
+                          min_coeff_gap=min_gap, sectors=((right_e, left_e), (right_o, left_o)),
+                          order=order, rank=rank)
 
 
 def _cyclic_system(params: ModelParams, coeffs: BaxterCoeffs,

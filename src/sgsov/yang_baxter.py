@@ -27,6 +27,7 @@ charge conjugation C = C_1 x ... x C_N commutes with T(l) and maps B(l) to C(l).
 u and v are unitary and v u^-1 = q u^-1 v, so for real kappa_n, xi_n (|q^1/2| = 1)
 L_11(l)^H = L_22(l*) and L_12(l)^H = -L_21(l*).  Sites act on different tensor factors,
 so A(l)^H = D(l*), B(l)^H = -C(l*) and T(l)^H = T(l*): the transfer family is self-adjoint.
+With l^(N-1) T(l) = sum_k l^(2k) T_k, matching the powers of l* gives T_k^H = T_k.
 
 The auxiliary R-matrix is the symmetric trigonometric 6-vertex matrix in
 the multiplicative spectral parameter x = l/m with anisotropy parameter

@@ -19,7 +19,7 @@ from sgsov import (
     u1_operator,
 )
 from sgsov import laurent
-from sgsov.observables import OPERATOR_TAGS, form_factor_table
+from sgsov.observables import OPERATOR_TAGS, form_factor_table, identity_table
 
 
 def test_built_states_are_eigenstates(solution7, params7, rng):
@@ -87,7 +87,7 @@ def test_form_factor_determinant_scaling(solution7, params7):
 
 
 def test_identity_determinants_reproduce_pairings(solution7, params7):
-    det, scale = form_factor_table(solution7.avg, solution7.pairs, "identity")
+    det, scale = identity_table(solution7.avg, solution7.pairs)
     direct = solution7.direct_table("identity")
     off = (np.abs(det) / scale)[~np.eye(len(det), dtype=bool)]
     assert np.max(off) < 1e-8
@@ -96,9 +96,9 @@ def test_identity_determinants_reproduce_pairings(solution7, params7):
 
 
 def test_u1_determinants_reproduce_matrix_elements(solution7, params7):
-    det = solution7.form_factor_table("u1")
+    det = form_factor_table(solution7.avg, solution7.pairs, "u1")
     direct = solution7.direct_table("u1")
-    const = (np.diag(solution7.form_factor_table("identity"))
+    const = (np.diag(form_factor_table(solution7.avg, solution7.pairs, "identity"))
              / np.diag(solution7.direct_table("identity"))).mean()
     ratios = det / direct
     assert np.max(np.abs(ratios / const - 1)) < 1e-6
@@ -109,10 +109,10 @@ def test_single_site_form_factors(solution_n1, params_n1):
     # whole matrix; the dual Q of one state may vanish on the negated grid,
     # but the assembled determinant is finite and still matches the dense
     # matrix elements
-    det_id = solution_n1.form_factor_table("identity")
+    det_id = form_factor_table(solution_n1.avg, solution_n1.pairs, "identity")
     direct_id = solution_n1.direct_table("identity")
     const = (np.diag(det_id) / np.diag(direct_id)).mean()
-    det_u1 = solution_n1.form_factor_table("u1")
+    det_u1 = form_factor_table(solution_n1.avg, solution_n1.pairs, "u1")
     direct_u1 = solution_n1.direct_table("u1")
     assert np.max(np.abs(det_u1 / direct_u1 / const - 1)) < 1e-6
 
@@ -166,7 +166,7 @@ def _reference_table(sol, tag):
 @pytest.mark.parametrize("tag", ["identity", "u1"])
 def test_tables_match_entrywise_reference(any_solution, tag):
     ref, bound = _reference_table(any_solution, tag)
-    got = any_solution.form_factor_table(tag)
+    got = form_factor_table(any_solution.avg, any_solution.pairs, tag)
     # errors relative to the largest determinant of the row, except where
     # the determinant vanishes (identity off the diagonal): there both sides
     # are rounding noise of cancelling terms, measured against their bound
@@ -178,16 +178,18 @@ def test_tables_match_entrywise_reference(any_solution, tag):
 
 
 def test_row_form_factors_match_single_pairs(solution7, solution_complex):
-    # a table, with its t'-independent factors built once and each row's
-    # c-terms giving both determinants and scales, has the bits of its pairs
+    # a table, with its t'-independent factors built once, has the bits of its
+    # pairs; the identity table's c-terms also give its Hadamard scales
     for sol, tag in itertools.product((solution7, solution_complex), OPERATOR_TAGS):
         avg, pairs = sol.avg, sol.pairs
-        dets, scales = form_factor_table(avg, pairs, tag)
-        assert np.array_equal(dets, sol.form_factor_table(tag))
+        dets = form_factor_table(avg, pairs, tag)
         assert np.array_equal(dets, [[form_factor(avg, t, tp, tag) for t in pairs]
                                      for tp in pairs])
-        assert np.array_equal(scales, [[form_factor_det_scale(avg, t, tp, tag) for t in pairs]
-                                       for tp in pairs])
+        if tag == "identity":
+            scaled_dets, scales = identity_table(avg, pairs)
+            assert np.array_equal(scaled_dets, dets)
+            assert np.array_equal(scales, [[form_factor_det_scale(avg, t, tp, tag) for t in pairs]
+                                           for tp in pairs])
 
 
 @pytest.mark.parametrize("name, seed", [("solution7", 7), ("solution_complex", 1)])
@@ -207,6 +209,7 @@ def test_form_factor_tables_need_only_grids_and_q_values(request, monkeypatch, n
     q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
     pairs = [pr.with_q(qf) for pr, qf in zip(oracle.pairs, q_fns)]
     for tag in OPERATOR_TAGS:
-        for got, want in zip(form_factor_table(avg, pairs, tag),
-                             form_factor_table(sol.avg, sol.pairs, tag)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(form_factor_table(avg, pairs, tag),
+                              form_factor_table(sol.avg, sol.pairs, tag))
+    for got, want in zip(identity_table(avg, pairs), identity_table(sol.avg, sol.pairs)):
+        assert np.array_equal(got, want)

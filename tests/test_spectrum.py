@@ -211,25 +211,46 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("instance", ["params7", "params_complex"])
-def test_oracle_rejects_noncommuting_member(instance, request, monkeypatch):
-    # a C-symmetric perturbation of one member, 1e-6 of its norm, passes the
-    # charge-conjugation certificate but breaks commutation: every redraw fails
-    # the residual, and the last one is gated
-    params = request.getfixturevalue(instance)
+def _c_symmetric_noise(params, rng):
+    """A random operator commuting with charge conjugation, unit Frobenius norm."""
     flip = charge_conjugation(params.p, params.N)
-    noise_rng, built = np.random.default_rng(4), []
+    noise = rng.standard_normal((params.dim,) * 2) + 1j * rng.standard_normal((params.dim,) * 2)
+    noise += flip @ noise @ flip
+    return noise / np.linalg.norm(noise)
 
-    def noncommuting_second(params, lam):
+
+@pytest.mark.parametrize("instance", ["params7", "params_complex"])
+def test_oracle_held_out_check_rejects_perturbed_ring_build(instance, request, monkeypatch):
+    # a C-symmetric perturbation of one ring build, 1e-6 of its norm, passes the
+    # charge-conjugation certificate but leaves the Laurent class: the coefficient
+    # operators no longer reproduce the held-out build
+    params = request.getfixturevalue(instance)
+    noise, built = _c_symmetric_noise(params, np.random.default_rng(4)), []
+
+    def perturbed_second(params, lam):
         op = transfer(params, lam)
         built.append(lam)
-        if len(built) == 2:
-            noise = noise_rng.standard_normal(op.shape) + 1j * noise_rng.standard_normal(op.shape)
-            noise += flip @ noise @ flip
-            op = op + 1e-6 * np.linalg.norm(op) * noise / np.linalg.norm(noise)
-        return op
+        return op + 1e-6 * np.linalg.norm(op) * noise if len(built) == 2 else op
 
-    monkeypatch.setattr(spectrum, "transfer", noncommuting_second)
+    monkeypatch.setattr(spectrum, "transfer", perturbed_second)
+    with pytest.raises(ToleranceError, match="held-out transfer matrix"):
+        oracle_spectrum(params, seed=123)
+
+
+@pytest.mark.parametrize("instance", ["params7", "params_complex"])
+def test_oracle_rejects_noncommuting_member(instance, request, monkeypatch):
+    # eps l^m X with X C-symmetric, added to every build, keeps the family in the
+    # Laurent class (the held-out check passes) but breaks commutation: every redraw
+    # fails the residual, and the last one is gated
+    params = request.getfixturevalue(instance)
+    m = laurent.transfer_powers(params.N)[-1]
+    term = 1e-6 * np.linalg.norm(transfer(params, 1.0)) * _c_symmetric_noise(
+        params, np.random.default_rng(4))
+
+    def noncommuting_term(params, lam):
+        return transfer(params, lam) + lam ** m * term
+
+    monkeypatch.setattr(spectrum, "transfer", noncommuting_term)
     eigh_calls = _count_calls(monkeypatch, spectrum.sla, "eigh")
     eig_calls = _count_calls(monkeypatch, spectrum.sla, "eig")
     with pytest.raises(ToleranceError, match="simultaneous-eigenvector residual"):
@@ -366,9 +387,11 @@ def test_stacked_q_matches_one_at_a_time(q_stack, extra_degree):
 
 
 @st.composite
-def _coupled_instances(draw):
+def _coupled_instances(draw, real=None):
     N, p = draw(st.sampled_from([(1, 3), (3, 3), (1, 5)]))
-    couplings = (st.floats(0.5, 2.0) if draw(st.booleans()) else
+    if real is None:
+        real = draw(st.booleans())
+    couplings = (st.floats(0.5, 2.0) if real else
                  st.builds(lambda r, phi: r * np.exp(1j * phi),
                            st.floats(0.5, 2.0), st.floats(-0.6, 0.6)))
     kappa = draw(st.lists(couplings, min_size=N, max_size=N))
@@ -393,6 +416,46 @@ def test_stacked_q_matches_loop_on_random_couplings(params):
         return
     for t, qf in zip(ts, q_from_t(params, avg, coeffs, ts)):
         _assert_same_bits(qf, _q_loop_reference(params, avg, coeffs, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_coupled_instances(real=True))
+def test_coefficient_operators_are_hermitian_for_real_couplings(params):
+    # T(l)^H = T(l*) gives T_k^H = T_k: the operators the oracle diagonalises
+    coefficient_ops = []
+
+    def spy(ops, *args):
+        coefficient_ops.extend(ops[: params.N])
+        return simultaneous_eig(ops, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "simultaneous_eig", spy)
+        try:
+            oracle = oracle_spectrum(params, seed=1)
+        except (DegenerateModelError, ToleranceError):
+            reject()
+    assert len(coefficient_ops) == 2 * params.N  # both C-sectors
+    for op in coefficient_ops:
+        assert np.linalg.norm(op - op.conj().T) <= 1e-13 * np.linalg.norm(op)
+    assert max(pr.imag_residue for pr in oracle.pairs) < params.tol("reality")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coupled_instances(), st.integers(0, 2**32 - 1))
+def test_coefficients_match_a_laurent_fit_of_dense_eigenvalues(params, seed):
+    # the reference method: eigenvalues of T at N + 2 random points in the oracle's
+    # eigenbasis, fitted by least squares to the Laurent class
+    try:
+        oracle = oracle_spectrum(params, seed=1)
+    except (DegenerateModelError, ToleranceError):
+        reject()
+    lams = laurent.sample_annulus(np.random.default_rng(seed), params.N + 2)
+    values = [np.einsum("ji,ij->j", oracle.left, transfer(params, lam) @ oracle.right)
+              for lam in lams]
+    fitted = laurent.fit(lams, np.array(values), laurent.transfer_powers(params.N))
+    coeffs = np.array([pr.t_coeffs for pr in oracle.pairs]).T
+    assert np.all(np.linalg.norm(fitted - coeffs, axis=0)
+                  <= 1e-10 * np.linalg.norm(coeffs, axis=0))
 
 
 def test_gap_guard_raises_the_loops_first_error(solution7, params7):
