@@ -153,4 +153,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg

@@ -131,8 +131,8 @@ def make_params(
     Raises
     ------
     ConfigError
-        On any violated integer constraint, arity mismatch or zero
-        coupling.
+        On any violated integer constraint, arity mismatch or zero or
+        non-finite coupling.
     """
     if not isinstance(N, (int, np.integer)) or N < 1 or N % 2 == 0:
         raise ConfigError(f"N must be an odd positive integer, got {N!r}")
@@ -152,6 +152,8 @@ def make_params(
         )
     if np.any(kappa == 0) or np.any(xi == 0):
         raise ConfigError("all couplings kappa_n and xi_n must be nonzero")
+    if not (np.isfinite(kappa).all() and np.isfinite(xi).all()):
+        raise ConfigError("all couplings kappa_n and xi_n must be finite")
 
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:

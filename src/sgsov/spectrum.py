@@ -39,8 +39,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.optimize
 
 from . import laurent
 from .averages import AverageData
@@ -208,22 +206,22 @@ def simultaneous_eig(
 ):
     """Joint eigenbasis of a commuting family via a random combination Z.
 
-    Diagonalises Z with ``eig`` and ``inv``; a ``hermitian`` family (closed under the
-    adjoint, as the transfer family is for real couplings) goes through (Z + Z^H)/2 with
-    ``eigh``, the inverse being the adjoint.  Redraws when the spectrum has near-collisions
-    (which would let the eigensolver mix joint eigenspaces) or the residual exceeds
-    ``residual_tol``; the caller gates the last draw's residual.  Returns the eigenvector
-    matrix, its inverse, the per-operator eigenvalues (one row per operator) and the worst
-    relative column residual |op w - t w| / |op|, from one product ``op @ right`` per
-    operator.
+    Diagonalises Z with ``numpy.linalg.eig`` (LAPACK ``zgeev``) and ``inv``; a ``hermitian``
+    family (closed under the adjoint, as the transfer family is for real couplings) goes
+    through (Z + Z^H)/2 with ``numpy.linalg.eigh`` (``zheevd``), the inverse being the
+    adjoint.  Redraws when the spectrum has near-collisions (which would let the
+    eigensolver mix joint eigenspaces) or the residual exceeds ``residual_tol``; the caller
+    gates the last draw's residual.  Returns the eigenvector matrix, its inverse, the
+    per-operator eigenvalues (one row per operator) and the worst relative column residual
+    |op w - t w| / |op|, from one product ``op @ right`` per operator.
     """
     ops = np.asarray(ops)
     last_gap = np.inf
     for attempt in range(_EIG_RETRIES):
         coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         combo = sum(c * op for c, op in zip(coeff, ops))
-        vals, right = (sla.eigh(0.5 * (combo + combo.conj().T), driver="evd") if hermitian
-                       else sla.eig(combo))
+        vals, right = (np.linalg.eigh(0.5 * (combo + combo.conj().T)) if hermitian
+                       else np.linalg.eig(combo))
         diffs = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(diffs, np.inf)
         scale = max(np.max(np.abs(vals)), 1e-300)
@@ -270,7 +268,7 @@ def _sector_blocks(ops: Sequence[np.ndarray], order: np.ndarray, tol: float):
     a, b, c, d = g[:, r, r], g[:, r, s], g[:, s, r], g[:, s, s]
     asym = np.sqrt(2 * (_sq_norms(a - d) + _sq_norms(b - c) + _sq_norms(g[:, 0, r] - g[:, 0, s])
                         + _sq_norms(g[:, r, 0] - g[:, s, 0])) / _sq_norms(g)).max()
-    if asym > tol:
+    if not asym <= tol:  # NaN fails too
         raise ToleranceError(f"charge conjugation: |C T C - T| / |T| = {asym:.3e} > {tol:.1e}")
     diag, cross, h = a + d, b + c, np.sqrt(0.5)
     even = np.block([[g[:, :1, :1], h * (g[:, :1, r] + g[:, :1, s])],
@@ -310,7 +308,7 @@ def oracle_spectrum(
         sector[:N] = np.tensordot(dft, sector[:N], axes=1)
         defect = (np.linalg.norm(np.tensordot(held_out, sector[:N], axes=1) - sector[N])
                   / np.linalg.norm(sector[N]))
-        if defect > params.tol("fit"):
+        if not defect <= params.tol("fit"):
             raise ToleranceError(f"held-out transfer matrix: |sum_k l^m_k T_k - T(l)| / |T(l)| "
                                  f"= {defect:.3e} > {params.tol('fit'):.1e}")
     hermitian = not (params.kappa.imag.any() or params.xi.imag.any())  # T_k^H = T_k
@@ -318,9 +316,10 @@ def oracle_spectrum(
     (right_e, left_e, vals_e, resid_e), (right_o, left_o, vals_o, resid_o) = (
         simultaneous_eig(sector, rng, params.tol("eig_collision"), hermitian, sim_tol)
         for sector in (even, odd))
-    if max(resid_e, resid_o) > sim_tol:
+    resid = float(np.max([resid_e, resid_o]))  # NaN if either is, unlike max()
+    if not resid <= sim_tol:
         raise ToleranceError(f"oracle simultaneous-eigenvector residual "
-                             f"{max(resid_e, resid_o):.3e} exceeds {sim_tol:.1e}")
+                             f"{resid:.3e} exceeds {sim_tol:.1e}")
     eigvals = np.hstack([vals_e, vals_o])
     coeffs, actual = eigvals[:N], eigvals[N]  # (N, dim) t-coefficients, t(l_h)
     fit_resid = np.abs(held_out @ coeffs - actual) / np.abs(actual)
@@ -339,7 +338,7 @@ def oracle_spectrum(
     imag_residue = np.max(np.abs(coeffs.imag), axis=0) / np.max(np.abs(coeffs), axis=0)
     pairs = [TransferEigenpair(c.copy(), float(f), float(i))
              for c, f, i in zip(coeffs.T, fit_resid, imag_residue)]
-    return OracleSpectrum(params, pairs, lambda_samples=lams, residual=max(resid_e, resid_o),
+    return OracleSpectrum(params, pairs, lambda_samples=lams, residual=resid,
                           min_coeff_gap=min_gap, sectors=((right_e, left_e), (right_o, left_o)),
                           order=order, rank=rank)
 
@@ -495,6 +494,8 @@ def ab_initio_spectrum(
     spectrum remains the reference.  Returns found coefficient vectors,
     deduplicated, as an (n_found, N) array.
     """
+    import scipy.optimize  # the only scipy use, kept off the import path of every other command
+
     N = params.N
     rng = np.random.default_rng(seed)
     powers = laurent.transfer_powers(N)

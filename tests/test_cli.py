@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,42 @@ def test_degenerate_parameters_rejected(capsys):
     code, _ = run(capsys, "--n-sites", "3", "--tol.grid_separation", "1.0",
                   "averages")
     assert code == 4
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--xi"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_couplings_are_config_errors(flag, value, capsys):
+    code = main([flag, f"{value},1,1", "spectrum"])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_builds_fail_the_charge_conjugation_gate(capsys):
+    # finite couplings whose transfer builds overflow: the NaN certificate must not pass
+    code = main(["--kappa=1e308,1,1", "spectrum"])
+    assert code == 3
+    assert "charge conjugation" in capsys.readouterr().err
+
+
+def test_negative_seed_is_config_error(capsys):
+    with pytest.raises(ConfigError, match="non-negative"):
+        load_config(None, {"seed": -1})
+    assert main(["--seed", "-1", "spectrum"]) == 2
+
+
+def test_commands_load_no_scipy():
+    # only ``suite --ab-initio`` imports scipy; every other path runs on numpy alone
+    script = (
+        "import sys, sgsov, sgsov.cli\n"
+        "for command in ('spectrum', 'formfactors', 'suite'):\n"
+        "    assert sgsov.cli.main(['--seed', '7', '--out', sys.argv[1], command]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sgsov.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, "/dev/null"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, "SGSOV_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_coupling_flags(capsys):

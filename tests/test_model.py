@@ -33,6 +33,8 @@ def test_q_is_primitive_root():
         dict(N=3, p=3, p_prime=6, kappa=[1] * 3, xi=[1] * 3),      # not coprime
         dict(N=3, p=3, p_prime=2, kappa=[1, 0, 1], xi=[1] * 3),    # zero coupling
         dict(N=3, p=3, p_prime=2, kappa=[1, 1], xi=[1] * 3),       # arity
+        dict(N=3, p=3, p_prime=2, kappa=[np.nan, 1, 1], xi=[1] * 3),  # non-finite
+        dict(N=3, p=3, p_prime=2, kappa=[1] * 3, xi=[1, complex(1, np.inf), 1]),
     ],
 )
 def test_make_params_rejects(kwargs):

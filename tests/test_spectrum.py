@@ -238,6 +238,39 @@ def test_oracle_held_out_check_rejects_perturbed_ring_build(instance, request, m
 
 
 @pytest.mark.parametrize("instance", ["params7", "params_complex"])
+@pytest.mark.parametrize("held_out", [False, True])
+def test_oracle_rejects_a_nan_build(instance, held_out, request, monkeypatch):
+    # one NaN entry in the first ring build or in the held-out build must fail the
+    # certificate that sees it first, not pass every "x > tol" comparison
+    params, built = request.getfixturevalue(instance), []
+
+    def nan_entry(params, lam):
+        op = transfer(params, lam)
+        built.append(lam)
+        if len(built) == (params.N + 1 if held_out else 1):
+            op[1, 2] = np.nan
+        return op
+
+    monkeypatch.setattr(spectrum, "transfer", nan_entry)
+    with pytest.raises(ToleranceError, match="charge conjugation: .* = nan"):
+        oracle_spectrum(params, seed=123)
+
+
+def test_oracle_residual_gate_fails_on_nan_in_the_odd_sector(params7, monkeypatch):
+    # max(x, nan) is x: the odd sector's residual is the one a plain max() would drop
+    original, sectors = spectrum.simultaneous_eig, []
+
+    def nan_odd_residual(*args):
+        right, left, vals, resid = original(*args)
+        sectors.append(resid)
+        return right, left, vals, np.nan if len(sectors) == 2 else resid
+
+    monkeypatch.setattr(spectrum, "simultaneous_eig", nan_odd_residual)
+    with pytest.raises(ToleranceError, match="residual nan exceeds"):
+        oracle_spectrum(params7, seed=123)
+
+
+@pytest.mark.parametrize("instance", ["params7", "params_complex"])
 def test_oracle_rejects_noncommuting_member(instance, request, monkeypatch):
     # eps l^m X with X C-symmetric, added to every build, keeps the family in the
     # Laurent class (the held-out check passes) but breaks commutation: every redraw
@@ -251,8 +284,8 @@ def test_oracle_rejects_noncommuting_member(instance, request, monkeypatch):
         return transfer(params, lam) + lam ** m * term
 
     monkeypatch.setattr(spectrum, "transfer", noncommuting_term)
-    eigh_calls = _count_calls(monkeypatch, spectrum.sla, "eigh")
-    eig_calls = _count_calls(monkeypatch, spectrum.sla, "eig")
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    eig_calls = _count_calls(monkeypatch, np.linalg, "eig")
     with pytest.raises(ToleranceError, match="simultaneous-eigenvector residual"):
         oracle_spectrum(params, seed=123)
     # both sectors redraw until the retries run out
@@ -291,7 +324,7 @@ def test_oracle_eigenbasis_is_unitary_iff_couplings_are_real(sectored):
                          [("params7", "eigh", 0), ("params_complex", "eig", 2)])
 def test_oracle_eigensolver_follows_couplings(instance, solver, inverses, request, monkeypatch):
     # real couplings: eigh per C-sector and no inverse; complex ones: eig and inv
-    solves = _count_calls(monkeypatch, spectrum.sla, solver)
+    solves = _count_calls(monkeypatch, np.linalg, solver)
     inv_calls = _count_calls(monkeypatch, np.linalg, "inv")
     oracle_spectrum(request.getfixturevalue(instance), seed=123)
     assert (len(solves), len(inv_calls)) == (2, inverses)
