@@ -5,15 +5,18 @@ Each criterion function measures a set of residuals on a shared
 instance tolerances; ``run_suite`` executes all of them in order on the
 default instance (odd N sites, couplings drawn uniformly from [0.5, 2]
 under the run seed) and reports one machine-readable record per
-criterion.  Wall-clock budgets are part of the criteria; timings are
-reported per record but excluded from structured command output, which
-must be byte-identical across runs with the same seed.
+criterion.  The stage commands of :mod:`sgsov.cli` render the same
+checks (:class:`Verdict` and the residual helpers here), never a copy.
+Wall-clock budgets are part of the criteria; timings are reported per
+record but excluded from structured command output, which must be
+byte-identical across runs with the same seed.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from . import laurent
 from .averages import average_operator, f_function
 from .model import ModelParams, make_params
 from .observables import form_factor_table, identity_table
-from .pipeline import ModelSolution, solve
+from .pipeline import ModelSolution, sample_rng, solve
 from .spectrum import MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
 from .yang_baxter import (
     commutator_residual,
@@ -31,8 +34,8 @@ from .yang_baxter import (
     verify_rll,
 )
 
-__all__ = ["CriterionResult", "FormFactorVerdict", "SuiteReport", "default_instance",
-           "form_factor_verdict", "run_suite", "CRITERIA"]
+__all__ = ["CriterionResult", "Verdict", "FormFactorVerdict", "SuiteReport", "default_instance",
+           "form_factor_verdict", "frame_verdict", "run_suite", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def default_instance(
     tolerances=None,
 ) -> ModelParams:
     """Default acceptance instance; couplings drawn from [0.5, 2] per seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+    rng = sample_rng(seed, 0xC0)
     if kappa is None:
         kappa = rng.uniform(0.5, 2.0, N)
     if xi is None:
@@ -76,52 +79,97 @@ def default_instance(
     return make_params(N, p, p_prime, kappa, xi, tolerances=tolerances)
 
 
-def criterion_rll(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+def _criterion(cid: str, name: str, budget_s: float | None):
+    """Time a check returning ``(passed, tolerance, measured[, warnings])`` and
+    record it as a :class:`CriterionResult` under ``cid`` and ``name``."""
+    def decorate(check):
+        @functools.wraps(check)
+        def timed(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, tolerance, measured, *warnings = check(*args, **kwargs)
+            return CriterionResult(cid, name, passed, tolerance, measured,
+                                   time.perf_counter() - t0, budget_s, *warnings)
+        return timed
+    return decorate
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Measurements of one stage check, for the suite and the stage command alike;
+    ``tolerances`` bounds each ``measured`` number under the same key."""
+
+    measured: dict[str, float]
+    tolerances: dict[str, float]
+
+    @property
+    def passed(self) -> dict[str, bool]:
+        return {key: self.measured[key] <= tol for key, tol in self.tolerances.items()}
+
+
+def max_commutator(residual, params: ModelParams, rng: np.random.Generator, pairs: int,
+                   r_min: float = 0.5, r_max: float = 2.0) -> float:
+    """Worst ``residual(params, l, m)`` over ``pairs`` random (l, m) pairs."""
+    worst = 0.0
+    for _ in range(pairs):
+        lam, mu = laurent.sample_annulus(rng, 2, r_min, r_max)
+        worst = max(worst, residual(params, lam, mu))
+    return worst
+
+
+def site_rll_residuals(params: ModelParams, rng: np.random.Generator, pairs: int,
+                       r_min: float = 0.5, r_max: float = 2.0) -> np.ndarray:
+    """Worst RLL exchange residual of each site over ``pairs`` random (l, m) pairs."""
+    return np.array([max_commutator(lambda pr, lam, mu: verify_rll(pr, n, lam, mu),
+                                    params, rng, pairs, r_min, r_max)
+                     for n in range(1, params.N + 1)])
+
+
+def orbit_products(params: ModelParams, coeffs, lams: np.ndarray) -> np.ndarray:
+    """prod_{k=1..p} a(q^k l) at each l, which must equal F(l^p)."""
+    return np.array(
+        [np.prod(coeffs.a(params.q ** np.arange(1, params.p + 1) * lam)) for lam in lams]
+    )
+
+
+def tq_residuals(coeffs, t_coeffs, q_functions, lams: np.ndarray) -> np.ndarray:
+    """Worst functional TQ residual of each (t, Q) state over the points ``lams``."""
+    return np.array([np.max(tq_residual(coeffs, t, qf, lams))
+                     for t, qf in zip(t_coeffs, q_functions)])
+
+
+def frame_verdict(frame) -> Verdict:
+    """Joint diagonalisation and measure pairing of the SoV frame, as recorded at
+    measure-normalisation time, before calibration rescaling."""
+    tol = frame.params.tol
+    return Verdict(
+        measured={name: float(frame.diagnostics[name])
+                  for name in ("simdiag_residual", "pairing_offdiag", "measure_deviation")},
+        tolerances={"simdiag_residual": tol("simdiag"), "pairing_offdiag": tol("measure"),
+                    "measure_deviation": tol("measure")},
+    )
+
+
+@_criterion("1", "rll_relation", budget_s=1.0)
+def criterion_rll(sol: ModelSolution, rng: np.random.Generator):
     """RLL exchange relation per site at random spectral-parameter pairs."""
-    t0 = time.perf_counter()
     n_pairs = 10
-    params = sol.params
-    tol = params.tol("rll")
-    worst = 0.0
-    for n in range(1, params.N + 1):
-        for _ in range(n_pairs):
-            lam, mu = laurent.sample_annulus(rng, 2)
-            worst = max(worst, verify_rll(params, n, lam, mu))
-    return CriterionResult(
-        cid="1",
-        name="rll_relation",
-        passed=worst <= tol,
-        tolerance=tol,
-        measured={"max_residual": worst, "pairs_per_site": n_pairs},
-        runtime_s=time.perf_counter() - t0,
-        budget_s=1.0,
-    )
+    tol = sol.params.tol("rll")
+    worst = float(site_rll_residuals(sol.params, rng, n_pairs).max())
+    return worst <= tol, tol, {"max_residual": worst, "pairs_per_site": n_pairs}
 
 
-def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("2", "transfer_commutativity", budget_s=1.0)
+def criterion_transfer_commutativity(sol: ModelSolution, rng: np.random.Generator):
     """[T(l), T(m)] = 0 at random pairs, relative Frobenius norm."""
-    t0 = time.perf_counter()
     n_pairs = 10
-    params = sol.params
-    tol = params.tol("commutator")
-    worst = 0.0
-    for _ in range(n_pairs):
-        lam, mu = laurent.sample_annulus(rng, 2)
-        worst = max(worst, transfer_commutator_residual(params, lam, mu))
-    return CriterionResult(
-        cid="2",
-        name="transfer_commutativity",
-        passed=worst <= tol,
-        tolerance=tol,
-        measured={"max_residual": worst, "pairs": n_pairs},
-        runtime_s=time.perf_counter() - t0,
-        budget_s=1.0,
-    )
+    tol = sol.params.tol("commutator")
+    worst = max_commutator(transfer_commutator_residual, sol.params, rng, n_pairs)
+    return worst <= tol, tol, {"max_residual": worst, "pairs": n_pairs}
 
 
-def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("3", "central_averages", budget_s=5.0)
+def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator):
     """Averaged B is the closed-form central scalar and commutes with A, D, T."""
-    t0 = time.perf_counter()
     n_points = 5
     params, avg = sol.params, sol.avg
     scalar_tol = params.tol("average_scalar")
@@ -146,63 +194,35 @@ def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator) -> 
             worst_central = max(worst_central, commutator_residual(avg_b, other))
 
     lams = laurent.sample_annulus(rng, n_points)
-    prods = np.array(
-        [np.prod(sol.coeffs.a(params.q ** np.arange(1, params.p + 1) * lam)) for lam in lams]
-    )
     closed = f_function(params, lams ** params.p)
-    worst_closed = float(np.max(np.abs(prods - closed) / np.abs(closed)))
+    worst_closed = float(np.max(np.abs(orbit_products(params, sol.coeffs, lams) - closed)
+                                / np.abs(closed)))
 
-    return CriterionResult(
-        cid="3",
-        name="central_averages",
-        passed=(worst_scalar <= scalar_tol and worst_central <= central_tol
-                and worst_closed <= closed_tol),
-        tolerance=scalar_tol,
-        measured={
-            "avg_vs_scalar": worst_scalar,
-            "centrality_commutator": worst_central,
-            "closed_form_vs_product": worst_closed,
-            "centrality_tolerance": central_tol,
-            "closed_form_tolerance": closed_tol,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=5.0,
-    )
+    return (worst_scalar <= scalar_tol and worst_central <= central_tol
+            and worst_closed <= closed_tol), scalar_tol, {
+        "avg_vs_scalar": worst_scalar,
+        "centrality_commutator": worst_central,
+        "closed_form_vs_product": worst_closed,
+        "centrality_tolerance": central_tol,
+        "closed_form_tolerance": closed_tol,
+    }
 
 
-def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
-    """Joint diagonalisation quality and measure pairing; the frame's construction
-    already certified its labels as a bijection."""
-    t0 = time.perf_counter()
-    params, frame = sol.params, sol.frame
-    sim_tol = params.tol("simdiag")
-    measure_tol = params.tol("measure")
-
-    sim_resid = frame.diagnostics["simdiag_residual"]
-    # recorded at measure-normalisation time, before calibration rescaling
-    offdiag = float(frame.diagnostics["pairing_offdiag"])
-    measure_dev = float(frame.diagnostics["measure_deviation"])
-
-    return CriterionResult(
-        cid="4",
-        name="sov_basis",
-        passed=sim_resid <= sim_tol and measure_dev <= measure_tol and offdiag <= measure_tol,
-        tolerance=sim_tol,
-        measured={
-            "simdiag_residual": float(sim_resid),
-            "label_count": params.dim,
-            "pairing_offdiag": offdiag,
-            "measure_deviation": measure_dev,
-            "measure_tolerance": measure_tol,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=10.0,
-    )
+@_criterion("4", "sov_basis", budget_s=10.0)
+def criterion_sov_basis(sol: ModelSolution, rng: np.random.Generator):
+    """Joint diagonalisation quality and measure pairing (:func:`frame_verdict`); the
+    frame's construction already certified its labels as a bijection."""
+    verdict = frame_verdict(sol.frame)
+    return all(verdict.passed.values()), verdict.tolerances["simdiag_residual"], {
+        **verdict.measured,
+        "label_count": sol.params.dim,
+        "measure_tolerance": verdict.tolerances["measure_deviation"],
+    }
 
 
-def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("5", "spectrum_simplicity_and_class", budget_s=30.0)
+def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator):
     """Simplicity, eigenvalue-class fit, and grid determinant quantisation."""
-    t0 = time.perf_counter()
     n_perturbed = 20
     params = sol.params
     fit_tol = params.tol("fit")
@@ -226,28 +246,20 @@ def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator) -> Criterio
         dets = grid_determinants(params, sol.avg, sol.coeffs, probe)
         min_perturbed = min(min_perturbed, float(dets.max()))
 
-    return CriterionResult(
-        cid="5",
-        name="spectrum_simplicity_and_class",
-        passed=(count_ok and gap > MIN_COEFF_GAP and worst_fit <= fit_tol
-                and worst_eig_det <= det_tol and min_perturbed >= 1e-5),
-        tolerance=det_tol,
-        measured={
-            "eigenvalue_count": len(sol.pairs),
-            "min_coeff_gap": float(gap),
-            "max_heldout_fit": float(worst_fit),
-            "max_eigen_grid_det": worst_eig_det,
-            "min_perturbed_grid_det": float(min_perturbed),
-            "fit_tolerance": fit_tol,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=30.0,
-    )
+    return (count_ok and gap > MIN_COEFF_GAP and worst_fit <= fit_tol
+            and worst_eig_det <= det_tol and min_perturbed >= 1e-5), det_tol, {
+        "eigenvalue_count": len(sol.pairs),
+        "min_coeff_gap": float(gap),
+        "max_heldout_fit": float(worst_fit),
+        "max_eigen_grid_det": worst_eig_det,
+        "min_perturbed_grid_det": float(min_perturbed),
+        "fit_tolerance": fit_tol,
+    }
 
 
-def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("6", "q_function_reconstruction", budget_s=30.0)
+def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator):
     """Q degree bound, joint grid residual, and functional TQ residual."""
-    t0 = time.perf_counter()
     n_offgrid = 20
     params = sol.params
     q_tol = params.tol("q_fit")
@@ -258,40 +270,29 @@ def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator) -> Crite
     degree_ok = all(pr.q_function.degree <= bound for pr in sol.pairs)
 
     # refit in a wider basis: coefficients beyond the bound must vanish
-    wides = q_from_t(params, sol.avg, sol.coeffs, [pr.t_coeffs for pr in sol.pairs],
-                     max_degree=bound + 2)
+    t_coeffs = [pr.t_coeffs for pr in sol.pairs]
+    wides = q_from_t(params, sol.avg, sol.coeffs, t_coeffs, max_degree=bound + 2)
     worst_excess = max(float(np.max(np.abs(w.coeffs[bound + 1 :])) / np.max(np.abs(w.coeffs)))
                        for w in wides)
 
     lams = laurent.sample_annulus(rng, n_offgrid, avoid=sol.avg.all_points(negated=True))
-    worst_tq = 0.0
-    for pr in sol.pairs:
-        worst_tq = max(
-            worst_tq, float(np.max(tq_residual(sol.coeffs, pr.t_coeffs, pr.q_function, lams)))
-        )
+    worst_tq = float(tq_residuals(sol.coeffs, t_coeffs,
+                                  [pr.q_function for pr in sol.pairs], lams).max())
 
-    return CriterionResult(
-        cid="6",
-        name="q_function_reconstruction",
-        passed=(degree_ok and worst_grid <= q_tol and worst_tq <= tq_tol
-                and worst_excess <= q_tol),
-        tolerance=tq_tol,
-        measured={
-            "max_grid_residual": float(worst_grid),
-            "max_tq_residual": worst_tq,
-            "degree_bound": bound,
-            "max_degree": max(pr.q_function.degree for pr in sol.pairs),
-            "excess_coefficient_max": worst_excess,
-            "grid_tolerance": q_tol,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=30.0,
-    )
+    return (degree_ok and worst_grid <= q_tol and worst_tq <= tq_tol
+            and worst_excess <= q_tol), tq_tol, {
+        "max_grid_residual": float(worst_grid),
+        "max_tq_residual": worst_tq,
+        "degree_bound": bound,
+        "max_degree": max(pr.q_function.degree for pr in sol.pairs),
+        "excess_coefficient_max": worst_excess,
+        "grid_tolerance": q_tol,
+    }
 
 
-def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("7", "eigenstate_construction", budget_s=30.0)
+def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator):
     """Built states match oracle vectors and are transfer eigenstates."""
-    t0 = time.perf_counter()
     n_lambda = 5
     params = sol.params
     ov_tol = params.tol("overlap")
@@ -313,38 +314,24 @@ def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator) -> Crite
                       / np.linalg.norm(sol.built_right[:, j])),
             )
 
-    return CriterionResult(
-        cid="7",
-        name="eigenstate_construction",
-        passed=(worst_overlap <= ov_tol and worst_left <= ov_tol and worst_resid <= res_tol),
-        tolerance=ov_tol,
-        measured={
-            "max_right_overlap_defect": worst_overlap,
-            "max_left_overlap_defect": worst_left,
-            "max_transfer_residual": worst_resid,
-            "residual_tolerance": res_tol,
-            "reference_index": sol.reference_index,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=30.0,
-    )
+    return (worst_overlap <= ov_tol and worst_left <= ov_tol
+            and worst_resid <= res_tol), ov_tol, {
+        "max_right_overlap_defect": worst_overlap,
+        "max_left_overlap_defect": worst_left,
+        "max_transfer_residual": worst_resid,
+        "residual_tolerance": res_tol,
+        "reference_index": sol.reference_index,
+    }
 
 
 @dataclass(frozen=True)
-class FormFactorVerdict:
+class FormFactorVerdict(Verdict):
     """Criterion 8 computed once, for the suite, ``sgsov formfactors`` and demo 04.
 
-    ``tables[tag]`` is (det, direct, det / direct), indexed [t', t]; ``tolerances``
-    bounds each ``measured`` number under the same key."""
+    ``tables[tag]`` is (det, direct, det / direct), indexed [t', t]."""
 
     tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     constant: complex
-    measured: dict[str, float]
-    tolerances: dict[str, float]
-
-    @property
-    def passed(self) -> dict[str, bool]:
-        return {key: value <= self.tolerances[key] for key, value in self.measured.items()}
 
 
 def form_factor_verdict(sol: ModelSolution) -> FormFactorVerdict:
@@ -365,36 +352,29 @@ def form_factor_verdict(sol: ModelSolution) -> FormFactorVerdict:
     diag_ratio = np.diag(tables["identity"][2])
     const = complex(diag_ratio.mean())
     ratio_tol = sol.params.tol("ff_ratio")
-    return FormFactorVerdict(tables, const, measured={
+    return FormFactorVerdict(measured={
         "identity_offdiag_max": float(off[~np.eye(len(off), dtype=bool)].max()),
         "identity_diag_spread": float(np.max(np.abs(diag_ratio / const - 1))),
         "u1_ratio_spread": float(np.max(np.abs(tables["u1"][2] / const - 1))),
     }, tolerances={"identity_offdiag_max": sol.params.tol("ff_offdiag"),
-                   "identity_diag_spread": ratio_tol, "u1_ratio_spread": ratio_tol})
+                   "identity_diag_spread": ratio_tol, "u1_ratio_spread": ratio_tol},
+        tables=tables, constant=const)
 
 
-def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("8", "form_factor_determinants", budget_s=120.0)
+def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator):
     """Determinant form factors reproduce dense matrix elements (:func:`form_factor_verdict`)."""
-    t0 = time.perf_counter()
     verdict = form_factor_verdict(sol)
-    return CriterionResult(
-        cid="8",
-        name="form_factor_determinants",
-        passed=all(verdict.passed.values()),
-        tolerance=verdict.tolerances["u1_ratio_spread"],
-        measured={
-            **verdict.measured,
-            "normalisation_constant": [verdict.constant.real, verdict.constant.imag],
-            "offdiag_tolerance": verdict.tolerances["identity_offdiag_max"],
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=120.0,
-    )
+    return all(verdict.passed.values()), verdict.tolerances["u1_ratio_spread"], {
+        **verdict.measured,
+        "normalisation_constant": [verdict.constant.real, verdict.constant.imag],
+        "offdiag_tolerance": verdict.tolerances["identity_offdiag_max"],
+    }
 
 
-def criterion_reality(sol: ModelSolution, rng: np.random.Generator) -> CriterionResult:
+@_criterion("9", "reality_reporting", budget_s=None)
+def criterion_reality(sol: ModelSolution, rng: np.random.Generator):
     """Soft check: imaginary residues of t and Q coefficients (report only)."""
-    t0 = time.perf_counter()
     tol = sol.params.tol("reality")
     t_res = max(pr.imag_residue for pr in sol.pairs)
     q_res = max(pr.q_function.imag_residue for pr in sol.pairs)
@@ -403,16 +383,8 @@ def criterion_reality(sol: ModelSolution, rng: np.random.Generator) -> Criterion
         warnings.append(f"eigenvalue coefficients carry imaginary residue {t_res:.3e}")
     if q_res > tol:
         warnings.append(f"Q coefficients carry imaginary residue {q_res:.3e}")
-    return CriterionResult(
-        cid="9",
-        name="reality_reporting",
-        passed=True,  # soft threshold: warn, never fail
-        tolerance=tol,
-        measured={"t_imag_residue": float(t_res), "q_imag_residue": float(q_res)},
-        runtime_s=time.perf_counter() - t0,
-        budget_s=None,
-        warnings=tuple(warnings),
-    )
+    # soft threshold: warn, never fail
+    return True, tol, {"t_imag_residue": float(t_res), "q_imag_residue": float(q_res)}, tuple(warnings)
 
 
 CRITERIA = [
@@ -444,33 +416,24 @@ def run_suite(
     sol = solve(params, seed=seed) if solution is None else solution
     chosen = CRITERIA if criteria is None else list(criteria)
     results = [
-        fn(sol, np.random.default_rng(np.random.SeedSequence((seed, 100 + k))))
+        fn(sol, sample_rng(seed, 100 + k))
         for k, fn in enumerate(chosen)
     ]
     if ab_initio:
         results.append(ab_initio_check(sol, seed))
-    budget_fail = [
-        r.cid for r in results
-        if enforce_budgets and r.budget_s is not None and r.runtime_s > r.budget_s
-    ]
-    if budget_fail:
-        results = [
-            r if r.cid not in budget_fail else
-            CriterionResult(r.cid, r.name, False, r.tolerance, r.measured,
-                            r.runtime_s, r.budget_s,
-                            r.warnings + ("runtime budget exceeded",))
-            for r in results
-        ]
+    results = [replace(r, passed=False, warnings=r.warnings + ("runtime budget exceeded",))
+               if enforce_budgets and r.budget_s is not None and r.runtime_s > r.budget_s else r
+               for r in results]
     return SuiteReport(params=params, seed=seed, results=results)
 
 
-def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400) -> CriterionResult:
+@_criterion("ab-initio", "ab_initio_spectrum_search", budget_s=None)
+def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400):
     """Secondary path: recover spectrum points from the grid determinants.
 
     Informational: reports how many of the p^N oracle eigenvalues the
     multi-start search recovered and whether any spurious points appeared.
     """
-    t0 = time.perf_counter()
     params = sol.params
     found = ab_initio_spectrum(params, sol.avg, sol.coeffs, seed=seed, n_starts=n_starts)
     matched = 0
@@ -482,20 +445,10 @@ def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400) -> Crite
             matched += 1
         else:
             spurious += 1
-    return CriterionResult(
-        cid="ab-initio",
-        name="ab_initio_spectrum_search",
-        passed=spurious == 0,
-        tolerance=None,
-        measured={
-            "found": int(len(found)),
-            "matched": matched,
-            "spurious": spurious,
-            "oracle_count": params.dim,
-            "starts": n_starts,
-        },
-        runtime_s=time.perf_counter() - t0,
-        budget_s=None,
-        warnings=() if matched == params.dim else
-        (f"search recovered {matched}/{params.dim} spectrum points",),
-    )
+    return spurious == 0, None, {
+        "found": int(len(found)),
+        "matched": matched,
+        "spurious": spurious,
+        "oracle_count": params.dim,
+        "starts": n_starts,
+    }, () if matched == params.dim else (f"search recovered {matched}/{params.dim} spectrum points",)

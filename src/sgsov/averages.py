@@ -184,6 +184,9 @@ def compute_grids(params: ModelParams) -> AverageData:
     tol = params.tol("grid_separation")
     coeffs = b_average_coeffs(params)
     w_coeffs = coeffs[::2]  # even polynomial: coefficients in W = L^2
+    if not np.all(np.isfinite(w_coeffs)):
+        raise DegenerateModelError("coefficients of the average polynomial are not finite "
+                                   "in double precision")
     if abs(w_coeffs[-1]) == 0:
         raise DegenerateModelError("leading coefficient of the average polynomial vanished")
     w_roots = npoly.polyroots(w_coeffs)

@@ -28,21 +28,25 @@ from typing import Any
 import numpy as np
 
 from . import laurent
-from .acceptance import CRITERIA, form_factor_verdict, run_suite
+from .acceptance import (
+    CRITERIA,
+    form_factor_verdict,
+    frame_verdict,
+    max_commutator,
+    orbit_products,
+    run_suite,
+    site_rll_residuals,
+    tq_residuals,
+)
 from .averages import compute_grids
 from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateModelError, ToleranceError
 # unused here; perfbench's test_tracer_rebinds_and_restores reads it from this module
 from .observables import form_factor_det_scale  # noqa: F401
-from .pipeline import solve
+from .pipeline import sample_rng, solve, stage_seeds
 from .sov_basis import diagonalize_b_family, grid_labels
-from .spectrum import MIN_COEFF_GAP, baxter_coeffs, oracle_spectrum, q_from_t, tq_residual
-from .yang_baxter import (
-    b_commutator_residual,
-    monodromy_rll_residual,
-    transfer_commutator_residual,
-    verify_rll,
-)
+from .spectrum import MIN_COEFF_GAP, baxter_coeffs, oracle_spectrum, q_from_t
+from .yang_baxter import b_commutator_residual, monodromy_rll_residual, transfer_commutator_residual
 
 __all__ = ["main"]
 
@@ -172,12 +176,9 @@ def _render(records: list, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seed_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
-
-
-def _child_seeds(seed: int):
-    return np.random.SeedSequence(seed).spawn(2)
+def _check(record: str, value, tol: float, **fields) -> dict:
+    """One number against its tolerance as a record; ``fields`` go before the value."""
+    return {"record": record, **fields, "value": value, "tolerance": tol, "passed": value <= tol}
 
 
 # ---------------------------------------------------------------------------
@@ -186,46 +187,23 @@ def _child_seeds(seed: int):
 def cmd_verify_ybe(cfg: RunConfig):
     params = cfg.make_model()
     rll_tol = params.tol("rll")
-    comm_tol = params.tol("commutator")
-    rng = _seed_rng(cfg.seed, 11)
-    records, ok = [], True
-    for n in range(1, params.N + 1):
-        worst = 0.0
-        for _ in range(cfg.lambda_grid.count):
-            lam, mu = laurent.sample_annulus(
-                rng, 2, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max
-            )
-            worst = max(worst, verify_rll(params, n, lam, mu))
-        passed = worst <= rll_tol
-        ok &= passed
-        records.append({
-            "record": "rll_residual", "site": n, "pairs": cfg.lambda_grid.count,
-            "value": worst, "tolerance": rll_tol, "passed": passed,
-        })
-    lam, mu = laurent.sample_annulus(rng, 2, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max)
-    mono_res = monodromy_rll_residual(params, lam, mu)
-    records.append({
-        "record": "monodromy_rll_residual", "value": mono_res,
-        "tolerance": rll_tol, "passed": mono_res <= rll_tol,
-    })
-    ok &= mono_res <= rll_tol
+    rng = sample_rng(cfg.seed, 11)
+    grid = (cfg.lambda_grid.count, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max)
+    sites = site_rll_residuals(params, rng, *grid)
+    passed = sites <= rll_tol
+    records = [_Block("rll_residual", {
+        "site": np.arange(1, params.N + 1), "pairs": grid[0], "value": sites,
+        "tolerance": rll_tol, "passed": passed,
+    })]
+    lam, mu = laurent.sample_annulus(rng, 2, *grid[1:])
+    records.append(_check("monodromy_rll_residual", monodromy_rll_residual(params, lam, mu), rll_tol))
     for name, fn in (
         ("transfer_commutator", transfer_commutator_residual),
         ("b_commutator", b_commutator_residual),
     ):
-        worst = 0.0
-        for _ in range(cfg.lambda_grid.count):
-            lam, mu = laurent.sample_annulus(
-                rng, 2, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max
-            )
-            worst = max(worst, fn(params, lam, mu))
-        passed = worst <= comm_tol
-        ok &= passed
-        records.append({
-            "record": name, "pairs": cfg.lambda_grid.count,
-            "value": worst, "tolerance": comm_tol, "passed": passed,
-        })
-    return records, ok
+        records.append(_check(name, max_commutator(fn, params, rng, *grid),
+                              params.tol("commutator"), pairs=grid[0]))
+    return records, bool(passed.all()) and all(r["passed"] for r in records[1:])
 
 
 def cmd_averages(cfg: RunConfig):
@@ -233,7 +211,7 @@ def cmd_averages(cfg: RunConfig):
     avg = compute_grids(params)
     coeffs = baxter_coeffs(params)
     tol = params.tol("closed_form")
-    rng = _seed_rng(cfg.seed, 12)
+    rng = sample_rng(cfg.seed, 12)
     records, ok = [], True
     lambdas = laurent.sample_annulus(
         rng, cfg.lambda_grid.count, cfg.lambda_grid.r_min, cfg.lambda_grid.r_max
@@ -244,15 +222,12 @@ def cmd_averages(cfg: RunConfig):
     par = np.max(np.abs(avg.cal_b(-lambdas) + cal_b) / np.abs(cal_b))
     f_pair = f * avg.f(-lambdas)
     ident = np.max(np.abs(cal_a ** 2 - cal_b ** 2 - f_pair) / np.abs(f_pair))
-    bridge = np.max(np.abs(
-        np.array([np.prod(coeffs.a(params.q ** np.arange(1, params.p + 1) * lam))
-                  for lam in lambdas ** (1.0 / params.p)]) - f) / np.abs(f))
+    bridge = np.max(np.abs(orbit_products(params, coeffs, lambdas ** (1.0 / params.p)) - f)
+                    / np.abs(f))
     for name, value in (("parity_oddness", par), ("quadratic_identity", ident),
                         ("coefficient_product_bridge", bridge)):
-        passed = value <= tol
-        ok &= passed
-        records.append({"record": name, "value": float(value),
-                        "tolerance": tol, "passed": passed})
+        records.append(_check(name, float(value), tol))
+        ok &= records[-1]["passed"]
     for n in range(params.N):
         scale = np.sum(np.abs(avg.b_coeffs) * np.abs(avg.Z[n]) ** np.arange(len(avg.b_coeffs)))
         resid = abs(np.polynomial.polynomial.polyval(avg.Z[n], avg.b_coeffs)) / scale
@@ -269,34 +244,19 @@ def cmd_averages(cfg: RunConfig):
 
 def cmd_sov_basis(cfg: RunConfig):
     params = cfg.make_model()
-    avg = compute_grids(params)
-    seeds = _child_seeds(cfg.seed)
-    frame = diagonalize_b_family(params, avg, seeds[1])
-    sim_tol = params.tol("simdiag")
-    measure_tol = params.tol("measure")
-    records, ok = [], True
-
-    sim = frame.diagnostics["simdiag_residual"]
-    ok &= sim <= sim_tol
-    records.append({"record": "simdiag_residual", "value": float(sim),
-                    "tolerance": sim_tol, "passed": sim <= sim_tol})
-    records.append({"record": "condition_number",
-                    "value": float(frame.diagnostics["condition_number"])})
-    for name in ("pairing_offdiag", "measure_deviation"):
-        value = float(frame.diagnostics[name])
-        ok &= value <= measure_tol
-        records.append({"record": name, "value": value,
-                        "tolerance": measure_tol, "passed": value <= measure_tol})
-    records.append(_Block("sov_vector", {
+    frame = diagonalize_b_family(params, compute_grids(params), stage_seeds(cfg.seed)[1])
+    verdict = frame_verdict(frame)
+    sim, *measure = [_check(key, value, verdict.tolerances[key])
+                     for key, value in verdict.measured.items()]
+    condition = {"record": "condition_number", "value": float(frame.diagnostics["condition_number"])}
+    return [sim, condition, *measure, _Block("sov_vector", {
         "index": np.arange(frame.dim), "label": grid_labels(params.N, params.p), "measure": frame.measure,
-    }))
-    return records, ok
+    })], all(verdict.passed.values())
 
 
 def cmd_spectrum(cfg: RunConfig):
     params = cfg.make_model()
-    seeds = _child_seeds(cfg.seed)
-    oracle = oracle_spectrum(params, seeds[0])
+    oracle = oracle_spectrum(params, stage_seeds(cfg.seed)[0])
     fit_tol = params.tol("fit")
     reality_tol = params.tol("reality")
     records, ok = [], True
@@ -323,29 +283,25 @@ def cmd_qfunctions(cfg: RunConfig):
     params = cfg.make_model()
     avg = compute_grids(params)
     coeffs = baxter_coeffs(params)
-    seeds = _child_seeds(cfg.seed)
-    oracle = oracle_spectrum(params, seeds[0])
+    oracle = oracle_spectrum(params, stage_seeds(cfg.seed)[0])
     q_tol = params.tol("q_fit")
     tq_tol = params.tol("tq")
-    rng = _seed_rng(cfg.seed, 13)
+    rng = sample_rng(cfg.seed, 13)
     lams = laurent.sample_annulus(rng, cfg.lambda_grid.count,
                                   cfg.lambda_grid.r_min, cfg.lambda_grid.r_max,
                                   avoid=avg.all_points(negated=True))
-    records, ok = [], True
-    q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
-    tq = np.array([np.max(tq_residual(coeffs, pr.t_coeffs, qf, lams))
-                   for pr, qf in zip(oracle.pairs, q_fns)])
+    t_coeffs = [pr.t_coeffs for pr in oracle.pairs]
+    q_fns = q_from_t(params, avg, coeffs, t_coeffs)
+    tq = tq_residuals(coeffs, t_coeffs, q_fns, lams)
     fit = np.array([qf.fit_residual for qf in q_fns])
     passed = (fit <= q_tol) & (tq <= tq_tol)
-    ok &= bool(passed.all())
-    records.append(_Block("Q_coeffs", {
+    return [_Block("Q_coeffs", {
         "index": np.arange(len(oracle.pairs)),
         "value": np.array([qf.coeffs for qf in q_fns]),
         "degree": np.array([qf.degree for qf in q_fns]), "grid_residual": fit,
         "tq_residual": tq, "tolerance": q_tol, "tq_tolerance": tq_tol,
         "passed": passed, "imag_residue": np.array([qf.imag_residue for qf in q_fns]),
-    }))
-    return records, ok
+    })], bool(passed.all())
 
 
 def cmd_formfactors(cfg: RunConfig):
@@ -368,16 +324,17 @@ def cmd_formfactors(cfg: RunConfig):
     return records, all(verdict.passed.values())
 
 
+def _criterion_record(record: str, res, **fields) -> dict:
+    """A criterion result as a record; ``fields`` go before its id."""
+    return {"record": record, **fields, "id": res.cid, "name": res.name, "passed": res.passed,
+            "tolerance": res.tolerance, "measured": res.measured}
+
+
 def cmd_suite(cfg: RunConfig, ab_initio: bool = False, stretch: bool = False):
-    params = cfg.make_model()
-    report = run_suite(params, cfg.seed, ab_initio=ab_initio)
+    report = run_suite(cfg.make_model(), cfg.seed, ab_initio=ab_initio)
     records = []
     for res in report.results:
-        records.append({
-            "record": "criterion", "id": res.cid, "name": res.name,
-            "passed": res.passed, "tolerance": res.tolerance,
-            "measured": res.measured, "warnings": list(res.warnings),
-        })
+        records.append({**_criterion_record("criterion", res), "warnings": list(res.warnings)})
         print(f"criterion {res.cid:>9s} {res.name:32s} "
               f"{'PASS' if res.passed else 'FAIL'}  ({res.runtime_s:.2f}s)",
               file=sys.stderr)
@@ -386,16 +343,11 @@ def cmd_suite(cfg: RunConfig, ab_initio: bool = False, stretch: bool = False):
         for sp, sn in ((5, 3), (3, 5)):
             scfg = RunConfig(N=sn, p=sp, p_prime=2, seed=cfg.seed,
                              lambda_grid=cfg.lambda_grid, tolerances=cfg.tolerances)
-            sparams = scfg.make_model()
-            sreport = run_suite(sparams, cfg.seed, criteria=CRITERIA[:4],
+            sreport = run_suite(scfg.make_model(), cfg.seed, criteria=CRITERIA[:4],
                                 enforce_budgets=False)
-            for res in sreport.results:
-                records.append({
-                    "record": "stretch_criterion", "p": sp, "N": sn,
-                    "id": res.cid, "name": res.name, "passed": res.passed,
-                    "tolerance": res.tolerance, "measured": res.measured,
-                })
-                ok &= res.passed
+            records += [_criterion_record("stretch_criterion", res, p=sp, N=sn)
+                        for res in sreport.results]
+            ok &= sreport.passed
     records.append({"record": "suite_summary", "passed": ok,
                     "criteria": len(records)})
     return records, ok

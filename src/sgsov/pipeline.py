@@ -36,7 +36,17 @@ from .spectrum import (
     q_from_t,
 )
 
-__all__ = ["ModelSolution", "solve"]
+__all__ = ["ModelSolution", "sample_rng", "solve", "stage_seeds"]
+
+
+def stage_seeds(seed: int) -> list[np.random.SeedSequence]:
+    """The oracle's and the frame's seed sequences, in that order, for every caller."""
+    return np.random.SeedSequence(seed).spawn(2)
+
+
+def sample_rng(seed: int, tag: int) -> np.random.Generator:
+    """The generator of one sampling stream of a run: couplings, a check's points."""
+    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
 
 
 def _match_scalar(reference: np.ndarray, target: np.ndarray) -> tuple[complex, float]:
@@ -133,14 +143,14 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
     other than +1 is reported as a degenerate configuration.
     """
     avg = compute_grids(params)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    base_oracle = oracle_spectrum(params, seeds[0])
+    oracle_seed, frame_seed = stage_seeds(seed)
+    base_oracle = oracle_spectrum(params, oracle_seed)
     coeffs = baxter_coeffs(params)
     q_fns = q_from_t(params, avg, coeffs, [pair.t_coeffs for pair in base_oracle.pairs])
     pairs = [pair.with_q(qf) for pair, qf in zip(base_oracle.pairs, q_fns)]
     oracle = replace(base_oracle, pairs=pairs)
 
-    frame = diagonalize_b_family(params, avg, seeds[1])
+    frame = diagonalize_b_family(params, avg, frame_seed)
 
     # reference: the eigenpair whose expansion coefficients are best
     # conditioned (largest worst-case coefficient), so no scale is fixed

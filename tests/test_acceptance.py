@@ -9,7 +9,7 @@ p=3/N=5.
 import numpy as np
 import pytest
 
-from sgsov.acceptance import CRITERIA, default_instance, run_suite
+from sgsov.acceptance import CRITERIA, CriterionResult, default_instance, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,21 @@ def test_criterion_9_reality(report):
 
 def test_whole_suite_passes(report):
     assert report.passed
+
+
+def test_runtime_budget_is_enforced(params7, solution7):
+    def over_budget(sol, rng):
+        return CriterionResult("x", "over_budget", True, None, {}, runtime_s=2.0,
+                               budget_s=1.0, warnings=("note",))
+
+    def run(enforce):
+        return run_suite(params7, seed=7, solution=solution7, criteria=[over_budget],
+                         enforce_budgets=enforce).results[0]
+
+    enforced = run(True)
+    assert not enforced.passed
+    assert enforced.warnings == ("note", "runtime budget exceeded")
+    assert run(False) == over_budget(solution7, None)
 
 
 @pytest.mark.parametrize("p,n_sites", [(5, 3), (3, 5)])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sgsov
-from sgsov.acceptance import criterion_form_factors, run_suite
+from sgsov.acceptance import CRITERIA, criterion_form_factors, run_suite
 from sgsov.cli import build_parser, main
 from sgsov.config import load_config
 from sgsov.errors import ConfigError
@@ -65,6 +65,15 @@ def test_overflowing_builds_fail_the_charge_conjugation_gate(capsys):
     code = main(["--kappa=1e308,1,1", "spectrum"])
     assert code == 3
     assert "charge conjugation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa, command", [("1e200", "averages"), ("1e-300", "averages"),
+                                            ("1e200", "sov-basis")])
+def test_non_finite_average_coefficients_exit_4(kappa, command, capsys):
+    # finite couplings whose average polynomial over- or underflows: a stated
+    # degenerate-model rejection, not a root-solver traceback
+    assert main([f"--kappa={kappa},1,1", command]) == 4
+    assert "average polynomial are not finite" in capsys.readouterr().err
 
 
 def test_negative_seed_is_config_error(capsys):
@@ -238,6 +247,25 @@ def test_formfactors_records_are_criterion_8(capsys):
         (crit.measured["u1_ratio_spread"], False),
     ]
     assert records["u1_ratio_spread"]["constant"] == crit.measured["normalisation_constant"]
+
+
+def test_sov_basis_records_are_criterion_4(capsys):
+    # the command renders criterion 4's frame verdict: at an unreachable measure
+    # tolerance both fail, with the same numbers
+    code, out = run(capsys, "--seed", "7", "--format", "json", "--tol.measure=1e-30",
+                    "sov-basis")
+    assert code == 3
+    records = {r["record"]: r for r in map(json.loads, out.splitlines())
+               if r["record"] != "sov_vector"}
+    params = load_config(overrides={"tolerances": {"measure": 1e-30}}).make_model()
+    crit, = run_suite(params, 7, criteria=[CRITERIA[3]]).results
+    assert not crit.passed
+    assert [(k, r["value"], r["passed"]) for k, r in records.items() if "passed" in r] == [
+        ("simdiag_residual", crit.measured["simdiag_residual"], True),
+        ("pairing_offdiag", crit.measured["pairing_offdiag"], False),
+        ("measure_deviation", crit.measured["measure_deviation"], False),
+    ]
+    assert records["measure_deviation"]["tolerance"] == crit.measured["measure_tolerance"]
 
 
 def test_formfactors_need_no_per_row_scales(monkeypatch, capsys, solution7, rng):

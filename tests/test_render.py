@@ -186,7 +186,7 @@ INSTANCES = {
     "complex33": ("--seed", "7", *CPLX),
     "real35": ("--seed", "7", "--n-sites", "3", "--p", "5"),
 }
-COMMANDS = ("averages", "sov-basis", "spectrum", "qfunctions", "formfactors")
+COMMANDS = ("verify-ybe", "averages", "sov-basis", "spectrum", "qfunctions", "formfactors")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
