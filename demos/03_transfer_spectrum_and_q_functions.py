@@ -28,29 +28,29 @@ oracle = oracle_spectrum(params, seed=3)
 print(f"spectrum: {len(oracle)} eigenvalue functions on dim {params.dim}")
 print(f"  joint-diagonalisation residual: {oracle.residual:.2e}")
 print(f"  min coefficient-vector gap (simplicity): {oracle.min_coeff_gap:.3f}")
-print(f"  worst held-out Laurent fit: {max(p.fit_residual for p in oracle.pairs):.2e}")
+print(f"  worst held-out Laurent fit: {oracle.fit_residual.max():.2e}")
 print(f"  worst imaginary residue of coefficients: "
-      f"{max(p.imag_residue for p in oracle.pairs):.2e} (couplings are real here)")
+      f"{oracle.imag_residue.max():.2e} (couplings are real here)")
 
-pair = oracle.pairs[0]
+t = oracle.t_coeffs[0]
 print(f"\nfirst eigenvalue, coefficients of l^(N-1) t(l) in l^2: "
-      f"{np.array_str(pair.t_coeffs.real, precision=5)}")
-dets = grid_determinants(params, avg, coeffs, pair.t_coeffs)
+      f"{np.array_str(t.real, precision=5)}")
+dets = grid_determinants(params, avg, coeffs, t)
 print(f"grid determinants (Hadamard-scaled) on the spectrum: max {dets.max():.2e}")
 
-probe = pair.t_coeffs + 0.01 * np.linalg.norm(pair.t_coeffs) * rng.standard_normal(params.N)
+probe = t + 0.01 * np.linalg.norm(t) * rng.standard_normal(params.N)
 dets_probe = grid_determinants(params, avg, coeffs, probe)
 print(f"same after a 1% coefficient perturbation: max {dets_probe.max():.2e} "
       "(the vanishing characterises the spectrum)")
 
-qf = q_from_t(params, avg, coeffs, pair.t_coeffs)
-print(f"\nreconstructed Q: degree {qf.degree} (bound {params.N * (params.p - 1)}), "
-      f"joint grid residual {qf.fit_residual:.2e}")
-print(f"coefficients: {np.array_str(qf.coeffs.real, precision=4)}")
-print(f"imaginary residue after phase alignment: {qf.imag_residue:.2e}")
+q = q_from_t(params, avg, coeffs, t)  # a table of one row
+print(f"\nreconstructed Q: degree {q.degree[0]} (bound {params.N * (params.p - 1)}), "
+      f"joint grid residual {q.fit_residual[0]:.2e}")
+print(f"coefficients: {np.array_str(q.coeffs[0].real, precision=4)}")
+print(f"imaginary residue after phase alignment: {q.imag_residue[0]:.2e}")
 
 lams = 1.3 * np.exp(2j * np.pi * rng.uniform(size=8))
-res = tq_residual(coeffs, pair.t_coeffs, qf, lams)
+res = tq_residual(coeffs, t, q.coeffs[0], lams)
 print(f"functional TQ residual at 8 off-grid points: max {res.max():.2e}")
 print("(t(l) Q(l) = a(l) Q(l/q) + d(l) Q(l q) holds for every l, not "
       "just on the grids used to build Q)")

@@ -9,7 +9,7 @@ and of the site-1 shift generator with one overall constant.
 
 import numpy as np
 
-from sgsov import make_params, solve, transfer
+from sgsov import make_params, solve, t_eval, transfer
 from sgsov.acceptance import form_factor_verdict
 
 rng = np.random.default_rng(4)
@@ -31,9 +31,9 @@ print("(only one state was calibrated; the other "
 lam = 1.05 - 0.35j
 tmat = transfer(params, lam)
 worst = max(
-    np.linalg.norm(tmat @ sol.built_right[:, j] - pr.t(lam) * sol.built_right[:, j])
+    np.linalg.norm(tmat @ sol.built_right[:, j] - t_eval(t, lam) * sol.built_right[:, j])
     / np.linalg.norm(sol.built_right[:, j])
-    for j, pr in enumerate(sol.pairs)
+    for j, t in enumerate(sol.oracle.t_coeffs)
 )
 print(f"worst transfer residual of built states at lambda = {lam}: {worst:.2e}")
 

@@ -34,8 +34,7 @@ from .sov_basis import (
 from .spectrum import (
     BaxterCoeffs,
     OracleSpectrum,
-    QFunction,
-    TransferEigenpair,
+    QFunctions,
     ab_initio_spectrum,
     baxter_coeffs,
     grid_determinants,

@@ -25,7 +25,8 @@ from .averages import average_operator, f_function
 from .model import ModelParams, make_params
 from .observables import form_factor_table, identity_table
 from .pipeline import ModelSolution, sample_rng, solve
-from .spectrum import MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, tq_residual
+from .spectrum import (MIN_COEFF_GAP, ab_initio_spectrum, grid_determinants, q_from_t, t_eval,
+                       tq_residual)
 from .yang_baxter import (
     commutator_residual,
     monodromy,
@@ -108,12 +109,9 @@ class Verdict:
 
 def max_commutator(residual, params: ModelParams, rng: np.random.Generator, pairs: int,
                    r_min: float = 0.5, r_max: float = 2.0) -> float:
-    """Worst ``residual(params, l, m)`` over ``pairs`` random (l, m) pairs."""
-    worst = 0.0
-    for _ in range(pairs):
-        lam, mu = laurent.sample_annulus(rng, 2, r_min, r_max)
-        worst = max(worst, residual(params, lam, mu))
-    return worst
+    """Worst ``residual(params, l, m)`` over ``pairs`` random (l, m) pairs; NaN if any is."""
+    return float(np.max([residual(params, *laurent.sample_annulus(rng, 2, r_min, r_max))
+                         for _ in range(pairs)], initial=0.0))
 
 
 def site_rll_residuals(params: ModelParams, rng: np.random.Generator, pairs: int,
@@ -131,10 +129,10 @@ def orbit_products(params: ModelParams, coeffs, lams: np.ndarray) -> np.ndarray:
     )
 
 
-def tq_residuals(coeffs, t_coeffs, q_functions, lams: np.ndarray) -> np.ndarray:
-    """Worst functional TQ residual of each (t, Q) state over the points ``lams``."""
-    return np.array([np.max(tq_residual(coeffs, t, qf, lams))
-                     for t, qf in zip(t_coeffs, q_functions)])
+def tq_residuals(coeffs, t_coeffs, q_coeffs, lams: np.ndarray) -> np.ndarray:
+    """Worst functional TQ residual of each (t, Q) row over the points ``lams``."""
+    return np.array([np.max(tq_residual(coeffs, t, qc, lams))
+                     for t, qc in zip(t_coeffs, q_coeffs)])
 
 
 def frame_verdict(frame) -> Verdict:
@@ -177,21 +175,17 @@ def criterion_central_averages(sol: ModelSolution, rng: np.random.Generator):
     closed_tol = params.tol("closed_form")
     dim = params.dim
 
-    worst_scalar = 0.0
-    worst_central = 0.0
+    scalar, central = [], []
     for _ in range(n_points):
         lam = laurent.sample_annulus(rng, 1, avoid=avg.all_points())[0]
         big_lambda = lam ** params.p
         avg_b = average_operator(lambda x: monodromy(params, x).B, big_lambda, params)
         target = complex(avg.cal_b(big_lambda))
-        worst_scalar = max(
-            worst_scalar,
-            float(np.linalg.norm(avg_b - target * np.eye(dim)) / abs(target) / np.sqrt(dim)),
-        )
-        mu = laurent.sample_annulus(rng, 1)[0]
-        mono = monodromy(params, mu)
+        scalar.append(np.linalg.norm(avg_b - target * np.eye(dim)) / abs(target) / np.sqrt(dim))
+        mono = monodromy(params, laurent.sample_annulus(rng, 1)[0])
         for other in (mono.A, mono.D, mono.A + mono.D):
-            worst_central = max(worst_central, commutator_residual(avg_b, other))
+            central.append(commutator_residual(avg_b, other))
+    worst_scalar, worst_central = float(np.max(scalar)), float(np.max(central))  # NaN if any is
 
     lams = laurent.sample_annulus(rng, n_points)
     closed = f_function(params, lams ** params.p)
@@ -229,26 +223,21 @@ def criterion_spectrum(sol: ModelSolution, rng: np.random.Generator):
     det_tol = params.tol("det_zero")
     dim = params.dim
 
-    count_ok = len(sol.pairs) == dim
+    t_coeffs = sol.oracle.t_coeffs
+    count_ok = len(t_coeffs) == dim
     gap = sol.oracle.min_coeff_gap
-    worst_fit = max(pr.fit_residual for pr in sol.pairs)
+    worst_fit = np.max(sol.oracle.fit_residual)
+    worst_eig_det = float(grid_determinants(params, sol.avg, sol.coeffs, t_coeffs).max())
 
-    worst_eig_det = 0.0
-    for pr in sol.pairs:
-        dets = grid_determinants(params, sol.avg, sol.coeffs, pr.t_coeffs)
-        worst_eig_det = max(worst_eig_det, float(dets.max()))
-
-    min_perturbed = np.inf
-    scale = np.mean([np.abs(pr.t_coeffs) for pr in sol.pairs])
-    for _ in range(n_perturbed):
-        base = sol.pairs[rng.integers(dim)].t_coeffs
-        probe = base + 1e-2 * scale * rng.standard_normal(params.N)
-        dets = grid_determinants(params, sol.avg, sol.coeffs, probe)
-        min_perturbed = min(min_perturbed, float(dets.max()))
+    scale = np.mean(np.abs(t_coeffs))
+    probes = [t_coeffs[rng.integers(dim)] + 1e-2 * scale * rng.standard_normal(params.N)
+              for _ in range(n_perturbed)]
+    dets = grid_determinants(params, sol.avg, sol.coeffs, np.array(probes))
+    min_perturbed = float(dets.max(axis=1).min())
 
     return (count_ok and gap > MIN_COEFF_GAP and worst_fit <= fit_tol
             and worst_eig_det <= det_tol and min_perturbed >= 1e-5), det_tol, {
-        "eigenvalue_count": len(sol.pairs),
+        "eigenvalue_count": len(t_coeffs),
         "min_coeff_gap": float(gap),
         "max_heldout_fit": float(worst_fit),
         "max_eigen_grid_det": worst_eig_det,
@@ -266,25 +255,22 @@ def criterion_q_functions(sol: ModelSolution, rng: np.random.Generator):
     tq_tol = params.tol("tq")
 
     bound = params.N * (params.p - 1)
-    worst_grid = max(pr.q_function.fit_residual for pr in sol.pairs)
-    degree_ok = all(pr.q_function.degree <= bound for pr in sol.pairs)
+    t_coeffs, degree = sol.oracle.t_coeffs, sol.q.degree
+    worst_grid = np.max(sol.q.fit_residual)
 
     # refit in a wider basis: coefficients beyond the bound must vanish
-    t_coeffs = [pr.t_coeffs for pr in sol.pairs]
-    wides = q_from_t(params, sol.avg, sol.coeffs, t_coeffs, max_degree=bound + 2)
-    worst_excess = max(float(np.max(np.abs(w.coeffs[bound + 1 :])) / np.max(np.abs(w.coeffs)))
-                       for w in wides)
+    wide = np.abs(q_from_t(params, sol.avg, sol.coeffs, t_coeffs, max_degree=bound + 2).coeffs)
+    worst_excess = float(np.max(np.max(wide[:, bound + 1 :], axis=1) / np.max(wide, axis=1)))
 
     lams = laurent.sample_annulus(rng, n_offgrid, avoid=sol.avg.all_points(negated=True))
-    worst_tq = float(tq_residuals(sol.coeffs, t_coeffs,
-                                  [pr.q_function for pr in sol.pairs], lams).max())
+    worst_tq = float(tq_residuals(sol.coeffs, t_coeffs, sol.q.coeffs, lams).max())
 
-    return (degree_ok and worst_grid <= q_tol and worst_tq <= tq_tol
+    return (bool(np.all(degree <= bound)) and worst_grid <= q_tol and worst_tq <= tq_tol
             and worst_excess <= q_tol), tq_tol, {
         "max_grid_residual": float(worst_grid),
         "max_tq_residual": worst_tq,
         "degree_bound": bound,
-        "max_degree": max(pr.q_function.degree for pr in sol.pairs),
+        "max_degree": int(degree.max()),
         "excess_coefficient_max": worst_excess,
         "grid_tolerance": q_tol,
     }
@@ -302,17 +288,13 @@ def criterion_eigenstates(sol: ModelSolution, rng: np.random.Generator):
     worst_overlap = float(1.0 - min(sol.right_overlaps[non_ref]))
     worst_left = float(1.0 - min(sol.left_overlaps))
 
-    lams = laurent.sample_annulus(rng, n_lambda)
-    worst_resid = 0.0
-    for lam in lams:
-        tmat = transfer(params, lam)
-        tv = tmat @ sol.built_right
-        for j, pr in enumerate(sol.pairs):
-            worst_resid = max(
-                worst_resid,
-                float(np.linalg.norm(tv[:, j] - pr.t(lam) * sol.built_right[:, j])
-                      / np.linalg.norm(sol.built_right[:, j])),
-            )
+    resid = []
+    for lam in laurent.sample_annulus(rng, n_lambda):
+        tv = transfer(params, lam) @ sol.built_right
+        for j, t in enumerate(sol.oracle.t_coeffs):
+            resid.append(np.linalg.norm(tv[:, j] - t_eval(t, lam) * sol.built_right[:, j])
+                         / np.linalg.norm(sol.built_right[:, j]))
+    worst_resid = float(np.max(resid))  # NaN if any is
 
     return (worst_overlap <= ov_tol and worst_left <= ov_tol
             and worst_resid <= res_tol), ov_tol, {
@@ -341,9 +323,9 @@ def form_factor_verdict(sol: ModelSolution) -> FormFactorVerdict:
     det/direct ratio is one constant, their mean; the shift generator's ratio must
     equal the same constant over every pair.
     """
-    det_id, scale_id = identity_table(sol.avg, sol.pairs)
+    det_id, scale_id = identity_table(sol.avg, sol.q)
     tables = {}
-    for tag, det in (("identity", det_id), ("u1", form_factor_table(sol.avg, sol.pairs, "u1"))):
+    for tag, det in (("identity", det_id), ("u1", form_factor_table(sol.avg, sol.q, "u1"))):
         direct = sol.direct_table(tag)
         with np.errstate(divide="ignore", invalid="ignore"):
             tables[tag] = (det, direct, det / direct)  # off-diagonal identity ratios are unused
@@ -376,8 +358,8 @@ def criterion_form_factors(sol: ModelSolution, rng: np.random.Generator):
 def criterion_reality(sol: ModelSolution, rng: np.random.Generator):
     """Soft check: imaginary residues of t and Q coefficients (report only)."""
     tol = sol.params.tol("reality")
-    t_res = max(pr.imag_residue for pr in sol.pairs)
-    q_res = max(pr.q_function.imag_residue for pr in sol.pairs)
+    t_res = np.max(sol.oracle.imag_residue)
+    q_res = np.max(sol.q.imag_residue)
     warnings = []
     if t_res > tol:
         warnings.append(f"eigenvalue coefficients carry imaginary residue {t_res:.3e}")
@@ -438,7 +420,7 @@ def ab_initio_check(sol: ModelSolution, seed: int, n_starts: int = 400):
     found = ab_initio_spectrum(params, sol.avg, sol.coeffs, seed=seed, n_starts=n_starts)
     matched = 0
     spurious = 0
-    oracle = np.array([pr.t_coeffs for pr in sol.pairs])
+    oracle = sol.oracle.t_coeffs
     for c in found:
         dists = np.linalg.norm(oracle - c[None, :], axis=1) / max(np.linalg.norm(c), 1e-300)
         if dists.min() < 1e-6:

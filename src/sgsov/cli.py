@@ -265,13 +265,11 @@ def cmd_spectrum(cfg: RunConfig):
     ok &= gap_ok
     records.append({"record": "min_coeff_gap", "value": float(oracle.min_coeff_gap),
                     "tolerance": MIN_COEFF_GAP, "passed": gap_ok})
-    fit = np.array([pr.fit_residual for pr in oracle.pairs])
-    imag = np.array([pr.imag_residue for pr in oracle.pairs])
+    fit, imag = oracle.fit_residual, oracle.imag_residue
     passed = fit <= fit_tol
     ok &= bool(passed.all())
     records.append(_Block("t_coeffs", {
-        "index": np.arange(len(oracle.pairs)),
-        "value": np.array([pr.t_coeffs for pr in oracle.pairs]),
+        "index": np.arange(len(oracle)), "value": oracle.t_coeffs,
         "fit_residual": fit, "tolerance": fit_tol, "passed": passed,
         "imag_residue": imag, "reality_tolerance": reality_tol,
         "reality_warning": imag > reality_tol,
@@ -290,17 +288,13 @@ def cmd_qfunctions(cfg: RunConfig):
     lams = laurent.sample_annulus(rng, cfg.lambda_grid.count,
                                   cfg.lambda_grid.r_min, cfg.lambda_grid.r_max,
                                   avoid=avg.all_points(negated=True))
-    t_coeffs = [pr.t_coeffs for pr in oracle.pairs]
-    q_fns = q_from_t(params, avg, coeffs, t_coeffs)
-    tq = tq_residuals(coeffs, t_coeffs, q_fns, lams)
-    fit = np.array([qf.fit_residual for qf in q_fns])
-    passed = (fit <= q_tol) & (tq <= tq_tol)
+    q = q_from_t(params, avg, coeffs, oracle.t_coeffs)
+    tq = tq_residuals(coeffs, oracle.t_coeffs, q.coeffs, lams)
+    passed = (q.fit_residual <= q_tol) & (tq <= tq_tol)
     return [_Block("Q_coeffs", {
-        "index": np.arange(len(oracle.pairs)),
-        "value": np.array([qf.coeffs for qf in q_fns]),
-        "degree": np.array([qf.degree for qf in q_fns]), "grid_residual": fit,
-        "tq_residual": tq, "tolerance": q_tol, "tq_tolerance": tq_tol,
-        "passed": passed, "imag_residue": np.array([qf.imag_residue for qf in q_fns]),
+        "index": np.arange(len(q)), "value": q.coeffs, "degree": q.degree,
+        "grid_residual": q.fit_residual, "tq_residual": tq, "tolerance": q_tol,
+        "tq_tolerance": tq_tol, "passed": passed, "imag_residue": q.imag_residue,
     })], bool(passed.all())
 
 

@@ -56,7 +56,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     # transfer spectrum and Q-functions
     "fit": 1e-9,                  # held-out T(l) and t(l) against the Laurent coefficients
     "det_zero": 1e-8,             # grid determinant vanishing (Hadamard scaled)
-    "nullspace_gap": 1e-6,        # required second-singular-value of grid systems
+    "nullspace_gap": 1e-6,        # lower bound on grid-system gaps sigma_{p-1}/sigma_1
     "q_fit": 1e-8,                # joint grid least-squares residual for Q
     "tq": 1e-8,                   # functional Baxter-equation residual
     # eigenstates and form factors

@@ -44,14 +44,15 @@ rejected by the test suite.
 The determinant reads only the separation grids and the Q-function
 values on them and on the negated grids: no separate-variable basis and
 no brute-force vector enters, so the form-factor functions take the grid
-data ``avg`` and the eigenpairs, never a frame.
+data ``avg`` and the :class:`~sgsov.spectrum.QFunctions` table, never a frame.
 
 A table of form factors is computed one row at a time: one dual state
 t' against all states t in one broadcast step, multiplying the factors
 in the same order as for a single pair, so a row has the bits of its
 pairs.  The t'-independent factors are built once per table; the
 identity table's c-terms also give the Hadamard scales against which its
-off-diagonal entries vanish.  The single-pair functions take one pair.
+off-diagonal entries vanish.  The single-pair functions take the row
+indices t and t' of the table.
 
 One discrete freedom remains: each grid representative Z_n is defined
 only up to sign, both signs yield coherent bases, states and scalar
@@ -67,14 +68,12 @@ certifies the alignment with an internal parity test.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .averages import AverageData
 from .model import ModelParams, embed, shift_matrix
 from .sov_basis import SOVFrame, separate_expansion
-from .spectrum import BaxterCoeffs, QFunction, TransferEigenpair
+from .spectrum import BaxterCoeffs, QFunctions
 
 __all__ = [
     "OPERATOR_TAGS",
@@ -95,21 +94,21 @@ def _require_calibrated(frame: SOVFrame) -> None:
         raise ValueError("frame is not calibrated; run calibrate_scales first")
 
 
-def build_eigenstate(frame: SOVFrame, q_function: QFunction) -> np.ndarray:
-    """Assemble the eigenstate of a Q-function on a calibrated frame."""
+def build_eigenstate(frame: SOVFrame, grid_values: np.ndarray) -> np.ndarray:
+    """Assemble the eigenstate of one Q-function's (N, p) grid values on a calibrated frame."""
     _require_calibrated(frame)
-    coeff = separate_expansion(frame, q_function.grid_values)
+    coeff = separate_expansion(frame, grid_values)
     return frame.right @ coeff
 
 
-def build_coeigenstate(frame: SOVFrame, q_function: QFunction) -> np.ndarray:
-    """Assemble the dual eigenstate (a covector) of a Q-function.
+def build_coeigenstate(frame: SOVFrame, neg_grid_values: np.ndarray) -> np.ndarray:
+    """Assemble the dual eigenstate (a covector) of one Q-function's (N, p) negated-grid values.
 
     Uses the per-variable weight x^N Q(-x) on the grid points; see the
     module docstring for why the power of x is part of the convention.
     """
     _require_calibrated(frame)
-    weights = frame.avg.grids ** frame.params.N * q_function.neg_grid_values
+    weights = frame.avg.grids ** frame.params.N * neg_grid_values
     coeff = separate_expansion(frame, weights)
     return coeff @ frame.left
 
@@ -126,23 +125,22 @@ def _u1_weight(params: ModelParams, coeffs: BaxterCoeffs, y: np.ndarray) -> np.n
 
 def _phi_rows(
     avg: AverageData,
-    ts: Sequence[TransferEigenpair],
-    tps: Sequence[TransferEigenpair],
+    values: np.ndarray,
+    neg_values: np.ndarray,
     operator_tag: str,
 ):
-    """Individual c-terms of the moment matrices, one (len(ts), N, N, p) array per t'.
+    """Individual c-terms of the moment matrices, one (len(values), N, N, p) array per t'.
 
+    ``values`` (M, N, p) holds Q_t on the grids, ``neg_values`` Q_t' on the negated grids.
     The t'-independent factors are built once; the ``u1`` last column is assembled
     directly from its bilinear form (weight times Q_t(y(c)) Q_t'(-y(c+1))), which
     stays finite when the dual Q vanishes on a grid point.
     """
-    if any(t.q_function is None for t in [*ts, *tps]):
-        raise ValueError("both eigenpairs need attached Q-functions")
     params = avg.params
     N, p = params.N, params.p
     cs = np.arange(1, p + 1)
     ks, ks_next = cs % p, (cs + 1) % p
-    qt_c = np.array([t.q_function.grid_values for t in ts])[:, :, ks]  # (len(ts), N, p)
+    qt_c = values[:, :, ks]                       # (M, N, p)
     b_exp = 2 * np.arange(1, N + 1) - 1           # (N,)
     phase = params.q ** np.outer(b_exp, cs)       # (N, p)
     y0_pow = avg.y0[:, None, None] ** b_exp[None, :, None]
@@ -156,10 +154,10 @@ def _phi_rows(
         raise ValueError(f"unknown operator tag {operator_tag!r}; known: {OPERATOR_TAGS}")
     left = table * qt_c[:, :, None, :]
 
-    for tp in tps:  # same left-to-right product as a single pair
-        terms = left * tp.q_function.neg_grid_values[:, ks][:, None, :] * phase[None, :, :] * y0_pow
+    for neg in neg_values:  # same left-to-right product as a single pair
+        terms = left * neg[:, ks][:, None, :] * phase[None, :, :] * y0_pow
         if operator_tag == "u1":
-            terms[:, :, N - 1, :] = weighted * tp.q_function.neg_grid_values[:, ks_next]
+            terms[:, :, N - 1, :] = weighted * neg[:, ks_next]
         yield terms
 
 
@@ -168,20 +166,27 @@ def _hadamard_scale(terms: np.ndarray) -> np.ndarray:
     return np.prod(np.linalg.norm(np.abs(terms).sum(axis=-1), axis=-2), axis=-1)
 
 
+def _pair_terms(avg: AverageData, q: QFunctions, t: int, tp: int, operator_tag: str):
+    """The c-terms of the one pair (row t, dual row t') of the table ``q``."""
+    return next(_phi_rows(avg, q.grid_values[[t]], q.neg_grid_values[[tp]], operator_tag))[0]
+
+
 def form_factor_matrix(
     avg: AverageData,
-    t: TransferEigenpair,
-    tp: TransferEigenpair,
+    q: QFunctions,
+    t: int,
+    tp: int,
     operator_tag: str = "identity",
 ) -> np.ndarray:
     """The N x N moment matrix Phi whose determinant is <t'|O|t>, O one of :data:`OPERATOR_TAGS`."""
-    return next(_phi_rows(avg, [t], [tp], operator_tag)).sum(axis=-1)[0]
+    return _pair_terms(avg, q, t, tp, operator_tag).sum(axis=-1)
 
 
 def form_factor_det_scale(
     avg: AverageData,
-    t: TransferEigenpair,
-    tp: TransferEigenpair,
+    q: QFunctions,
+    t: int,
+    tp: int,
     operator_tag: str = "identity",
 ) -> float:
     """Cancellation-free magnitude scale for the determinant.
@@ -190,32 +195,32 @@ def form_factor_det_scale(
     value is their Hadamard bound (product of column norms), the natural
     yardstick for declaring a determinant 'numerically zero'.
     """
-    return float(_hadamard_scale(next(_phi_rows(avg, [t], [tp], operator_tag)))[0])
+    return float(_hadamard_scale(_pair_terms(avg, q, t, tp, operator_tag)))
 
 
 def form_factor(
     avg: AverageData,
-    t: TransferEigenpair,
-    tp: TransferEigenpair,
+    q: QFunctions,
+    t: int,
+    tp: int,
     operator_tag: str = "identity",
 ) -> complex:
-    """Determinant form factor <t'|O|t> = det Phi."""
-    return complex(np.linalg.det(form_factor_matrix(avg, t, tp, operator_tag)))
+    """Determinant form factor <t'|O|t> = det Phi between rows t and t' of ``q``."""
+    return complex(np.linalg.det(form_factor_matrix(avg, q, t, tp, operator_tag)))
 
 
-def form_factor_table(avg: AverageData, pairs: Sequence[TransferEigenpair],
+def form_factor_table(avg: AverageData, q: QFunctions,
                       operator_tag: str = "identity") -> np.ndarray:
-    """Form factors det Phi indexed [t', t] over ``pairs``, one row (dual t') per step."""
+    """Form factors det Phi indexed [t', t] over the rows of ``q``, one row (dual t') per step."""
     return np.stack([np.linalg.det(terms.sum(axis=-1))
-                     for terms in _phi_rows(avg, pairs, pairs, operator_tag)])
+                     for terms in _phi_rows(avg, q.grid_values, q.neg_grid_values, operator_tag)])
 
 
-def identity_table(avg: AverageData,
-                   pairs: Sequence[TransferEigenpair]) -> tuple[np.ndarray, np.ndarray]:
+def identity_table(avg: AverageData, q: QFunctions) -> tuple[np.ndarray, np.ndarray]:
     """The identity :func:`form_factor_table` and, from the same c-terms, the Hadamard scales
     (:func:`form_factor_det_scale`) against which its off-diagonal entries vanish."""
     dets, scales = zip(*[(np.linalg.det(terms.sum(axis=-1)), _hadamard_scale(terms))
-                         for terms in _phi_rows(avg, pairs, pairs, "identity")])
+                         for terms in _phi_rows(avg, q.grid_values, q.neg_grid_values, "identity")])
     return np.stack(dets), np.stack(scales)
 
 

@@ -9,7 +9,7 @@ samples, random combinations) flows from the single seed through spawned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .sov_basis import (
 from .spectrum import (
     BaxterCoeffs,
     OracleSpectrum,
+    QFunctions,
     baxter_coeffs,
     oracle_spectrum,
     q_from_t,
@@ -61,8 +62,11 @@ def _match_scalar(reference: np.ndarray, target: np.ndarray) -> tuple[complex, f
 class ModelSolution:
     """Everything the pipeline produces for one parameter set and seed.
 
-    The brute-force eigenvectors and covectors are held once, in
-    ``oracle.right`` and ``oracle.left``.  ``right_scales`` /
+    Every per-state quantity is a table indexed by the eigenvalue j: its
+    function ``oracle.t_coeffs[j]``, its Q-function (row j of ``q``), its
+    brute-force eigenvector ``oracle.right[:, j]`` and covector
+    ``oracle.left[j]`` (each held once), and the built states
+    ``built_right[:, j]`` and ``built_left[j]``.  ``right_scales`` /
     ``left_scales`` are the per-state factors that carry them onto the
     normalisation of the built separate states; :meth:`direct_table`
     applies them on demand, the reference side of the
@@ -73,6 +77,7 @@ class ModelSolution:
     avg: AverageData
     coeffs: BaxterCoeffs
     oracle: OracleSpectrum
+    q: QFunctions
     frame: SOVFrame
     reference_index: int
     built_right: np.ndarray     # built eigenstates as columns
@@ -81,10 +86,6 @@ class ModelSolution:
     left_scales: np.ndarray     # s with s * oracle.left[j] ~ built_left[j]
     right_overlaps: np.ndarray  # |<oracle, built>| per state, normalised
     left_overlaps: np.ndarray
-
-    @property
-    def pairs(self):
-        return self.oracle.pairs
 
     @property
     def dim(self) -> int:
@@ -120,8 +121,8 @@ def _shift_parity(sol: ModelSolution) -> complex:
     op = u1_operator(sol.params)
     row = sol.built_left[ref] @ op @ sol.built_right
     j = int(np.argmax(np.abs(row)))
-    det = form_factor(sol.avg, sol.pairs[j], sol.pairs[ref], "u1")
-    const = form_factor(sol.avg, sol.pairs[ref], sol.pairs[ref], "identity") / (
+    det = form_factor(sol.avg, sol.q, j, ref, "u1")
+    const = form_factor(sol.avg, sol.q, ref, ref, "identity") / (
         sol.built_left[ref] @ sol.built_right[:, ref]
     )
     return complex(det / (row[j] * const))
@@ -144,26 +145,24 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
     """
     avg = compute_grids(params)
     oracle_seed, frame_seed = stage_seeds(seed)
-    base_oracle = oracle_spectrum(params, oracle_seed)
+    oracle = oracle_spectrum(params, oracle_seed)
     coeffs = baxter_coeffs(params)
-    q_fns = q_from_t(params, avg, coeffs, [pair.t_coeffs for pair in base_oracle.pairs])
-    pairs = [pair.with_q(qf) for pair, qf in zip(base_oracle.pairs, q_fns)]
-    oracle = replace(base_oracle, pairs=pairs)
+    q = q_from_t(params, avg, coeffs, oracle.t_coeffs)
 
     frame = diagonalize_b_family(params, avg, frame_seed)
 
-    # reference: the eigenpair whose expansion coefficients are best
+    # reference: the eigenvalue whose expansion coefficients are best
     # conditioned (largest worst-case coefficient), so no scale is fixed
     # from a near-vanishing component
     floor = []
-    for pair in pairs:
-        coeff = np.abs(separate_expansion(frame, pair.q_function.grid_values))
+    for values in q.grid_values:
+        coeff = np.abs(separate_expansion(frame, values))
         floor.append(coeff.min() / coeff.max())
     reference = int(np.argmax(floor))
-    frame = calibrate_scales(frame, pairs[reference].q_function, oracle.right[:, reference])
+    frame = calibrate_scales(frame, q.grid_values[reference], oracle.right[:, reference])
 
-    built_right = np.column_stack([build_eigenstate(frame, p.q_function) for p in pairs])
-    built_left = np.vstack([build_coeigenstate(frame, p.q_function) for p in pairs])
+    built_right = np.column_stack([build_eigenstate(frame, values) for values in q.grid_values])
+    built_left = np.vstack([build_coeigenstate(frame, values) for values in q.neg_grid_values])
 
     dim = params.dim
     r_scale, l_scale = np.empty(dim, dtype=complex), np.empty(dim, dtype=complex)
@@ -178,6 +177,7 @@ def solve(params: ModelParams, seed: int = 7) -> ModelSolution:
         avg=avg,
         coeffs=coeffs,
         oracle=oracle,
+        q=q,
         frame=frame,
         reference_index=reference,
         built_right=built_right,

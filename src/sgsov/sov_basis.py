@@ -37,7 +37,7 @@ import numpy as np
 from .averages import AverageData
 from .errors import DegenerateModelError, ToleranceError
 from .model import ModelParams
-from .spectrum import QFunction, simultaneous_eig
+from .spectrum import simultaneous_eig
 from . import laurent
 from .yang_baxter import b_operator, commutator_residual
 
@@ -212,13 +212,13 @@ def label_vectors(params: ModelParams, avg: AverageData, lams: np.ndarray,
 
 def calibrate_scales(
     frame: SOVFrame,
-    q_function: QFunction,
+    grid_values: np.ndarray,
     vector: np.ndarray,
 ) -> SOVFrame:
     """Fix per-vector scales from one reference eigenstate expansion.
 
-    ``q_function`` is the reference eigenvalue's Q-function and ``vector``
-    its brute-force eigenvector (a column of the oracle's ``right``).
+    ``grid_values`` (N, p) is the reference eigenvalue's Q on the grids and
+    ``vector`` its brute-force eigenvector (a column of the oracle's ``right``).
     Solves for scales s_h such that the separate-state expansion of the
     Q-function, applied to the rescaled basis, reproduces ``vector``
     exactly.  Scales are then frozen for all subsequent state work; the
@@ -227,7 +227,7 @@ def calibrate_scales(
     if frame.calibrated:
         raise ValueError("frame is already calibrated")
 
-    coeff = separate_expansion(frame, q_function.grid_values)
+    coeff = separate_expansion(frame, grid_values)
     cmag = np.abs(coeff)
     if cmag.min() < 1e-12 * cmag.max():
         raise DegenerateModelError(

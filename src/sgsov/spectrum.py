@@ -34,7 +34,7 @@ complex couplings take ``eig`` and ``inv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -48,13 +48,11 @@ from .yang_baxter import transfer
 
 __all__ = [
     "BaxterCoeffs",
-    "QFunction",
-    "TransferEigenpair",
+    "QFunctions",
     "OracleSpectrum",
     "baxter_coeffs",
     "t_eval",
     "oracle_spectrum",
-    "hadamard_scale",
     "grid_determinants",
     "q_from_t",
     "tq_residual",
@@ -115,8 +113,8 @@ def t_eval(t_coeffs: np.ndarray, lam: complex | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QFunction:
-    """Polynomial Q attached to a transfer eigenvalue.
+class QFunctions:
+    """Polynomial Q of every transfer eigenvalue, one row per eigenvalue.
 
     Coefficients are unit-norm with the global phase rotated to minimise
     the total imaginary weight (Q is only defined up to normalisation);
@@ -126,60 +124,44 @@ class QFunction:
     joint fit, which carries more digits there than the fitted polynomial.
     """
 
-    coeffs: np.ndarray            # (N(p-1)+1,) low to high
-    grid_values: np.ndarray       # (N, p)
-    neg_grid_values: np.ndarray   # (N, p)
-    fit_residual: float           # joint homogeneous-system residual
-    nullspace_gaps: np.ndarray    # (N,) second-smallest singular value per variable
-    imag_residue: float
+    coeffs: np.ndarray            # (M, N(p-1)+1) low to high
+    grid_values: np.ndarray       # (M, N, p)
+    neg_grid_values: np.ndarray   # (M, N, p)
+    fit_residual: np.ndarray      # (M,) joint homogeneous-system residual
+    nullspace_gaps: np.ndarray    # (M, 2N) relative gap sigma_{p-1} / sigma_1 per orbit
+    imag_residue: np.ndarray      # (M,)
 
-    def __call__(self, lam: complex | np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(np.asarray(lam, dtype=complex), self.coeffs)
+    def __len__(self) -> int:
+        return len(self.coeffs)
 
     @property
-    def degree(self) -> int:
+    def degree(self) -> np.ndarray:
+        """Per row, the last coefficient above 1e-12 of the row's largest (0 if none)."""
         mags = np.abs(self.coeffs)
-        sig = np.nonzero(mags > 1e-12 * mags.max())[0]
-        return int(sig[-1]) if sig.size else 0
-
-
-@dataclass(frozen=True)
-class TransferEigenpair:
-    """One point of the brute-force spectrum: its eigenvalue function.
-
-    The eigenvector of pair j is column j of :attr:`OracleSpectrum.right`
-    and its covector row j of :attr:`OracleSpectrum.left`; the pair holds
-    no copy of either.  ``q_function`` is attached by :func:`q_from_t`
-    downstream.
-    """
-
-    t_coeffs: np.ndarray
-    fit_residual: float
-    imag_residue: float
-    q_function: QFunction | None = None
-
-    def t(self, lam: complex | np.ndarray) -> np.ndarray:
-        return t_eval(self.t_coeffs, lam)
-
-    def with_q(self, q_function: QFunction) -> "TransferEigenpair":
-        return replace(self, q_function=q_function)
+        sig = mags > 1e-12 * mags.max(axis=1, keepdims=True)
+        return np.where(sig.any(axis=1), sig.shape[1] - 1 - np.argmax(sig[:, ::-1], axis=1), 0)
 
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Full brute-force diagonalisation of the commuting transfer family, held per C-sector."""
+    """Full brute-force diagonalisation of the commuting transfer family, held per C-sector.
+
+    Row j of ``t_coeffs`` is the eigenvalue function of eigenvector column j of
+    :attr:`right` and covector row j of :attr:`left`."""
 
     params: ModelParams
-    pairs: list[TransferEigenpair]
+    t_coeffs: np.ndarray          # (dim, N) Laurent coefficients, C-contiguous rows
+    fit_residual: np.ndarray      # (dim,) held-out |t(l_h) - sum_k c_k l_h^m_k| / |t(l_h)|
+    imag_residue: np.ndarray      # (dim,) max |Im c| / max |c| per row
     lambda_samples: np.ndarray    # the N ring points, then the held-out one
     residual: float               # worst column residual |T w - t w| / |T| per C-sector
     min_coeff_gap: float          # min pairwise distance of t-coefficient vectors
     sectors: tuple                # (right, left) of the even, then the odd C-sector
     order: np.ndarray             # basis order of the sector blocks (:meth:`_unfold`)
-    rank: np.ndarray              # pair j is sector column rank[j], even columns first
+    rank: np.ndarray              # row j is sector column rank[j], even columns first
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.t_coeffs)
 
     @cached_property
     def right(self) -> np.ndarray:  # eigenvectors as columns, unfolded on first read
@@ -287,7 +269,7 @@ def oracle_spectrum(
     has V^H V = N on the ring, so T_k = (V^H / N) T(l_j), and sum_k l_h^(2k-N+1) T_k must match
     T(l_h) to ``fit`` (relative Frobenius norm per sector).  [T_0..T_{N-1}, T(l_h)] is diagonalised
     per C-sector (:func:`simultaneous_eig`, gated by ``simdiag``): N rows of t-coefficients, and
-    t(l_h) for ``fit_residual``.  Eigenpairs must be distinct; they are sorted by coefficients.
+    t(l_h) for ``fit_residual``.  Eigenvalue functions must be distinct; rows sort by coefficients.
     """
     N, dim = params.N, params.dim
     rng = np.random.default_rng(seed)
@@ -336,9 +318,8 @@ def oracle_spectrum(
                                    "spectrum not simple")
 
     imag_residue = np.max(np.abs(coeffs.imag), axis=0) / np.max(np.abs(coeffs), axis=0)
-    pairs = [TransferEigenpair(c.copy(), float(f), float(i))
-             for c, f, i in zip(coeffs.T, fit_resid, imag_residue)]
-    return OracleSpectrum(params, pairs, lambda_samples=lams, residual=resid,
+    return OracleSpectrum(params, np.ascontiguousarray(coeffs.T), fit_resid, imag_residue,
+                          lambda_samples=lams, residual=resid,
                           min_coeff_gap=min_gap, sectors=((right_e, left_e), (right_o, left_o)),
                           order=order, rank=rank)
 
@@ -358,9 +339,12 @@ def _cyclic_system(params: ModelParams, coeffs: BaxterCoeffs,
     return mat
 
 
-def hadamard_scale(mat: np.ndarray) -> float:
-    """Hadamard bound prod_k |row_k|; natural scale for |det|."""
-    return float(np.prod(np.linalg.norm(mat, axis=1)))
+def _grid_dets(params: ModelParams, avg: AverageData, coeffs: BaxterCoeffs,
+               t_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det of every per-variable grid system of each row of ``t_stack`` (M, N), and its
+    Hadamard bound prod_k |row_k|, the natural scale for |det|; both (M, N)."""
+    mats = _cyclic_system(params, coeffs, t_stack, avg.grids)
+    return np.linalg.det(mats), np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
 
 
 def grid_determinants(
@@ -371,11 +355,12 @@ def grid_determinants(
 ) -> np.ndarray:
     """|det| of every per-variable grid system, scaled by its Hadamard bound.
 
-    All entries vanish (to tolerance) iff ``t_coeffs`` belongs to the
-    spectrum; a generic perturbed vector leaves at least one entry finite.
+    ``t_coeffs`` is one vector (N,) or a stack (M, N); the result has its shape.
+    All entries of a row vanish (to tolerance) iff it belongs to the spectrum;
+    a generic perturbed vector leaves at least one entry finite.
     """
-    mats = _cyclic_system(params, coeffs, [t_coeffs], avg.grids)[0]
-    return np.array([abs(np.linalg.det(mat)) / hadamard_scale(mat) for mat in mats])
+    det, bound = _grid_dets(params, avg, coeffs, np.reshape(t_coeffs, (-1, params.N)))
+    return (np.hypot(det.real, det.imag) / bound).reshape(np.shape(t_coeffs))
 
 
 def q_from_t(
@@ -384,11 +369,11 @@ def q_from_t(
     coeffs: BaxterCoeffs,
     t_coeffs: np.ndarray,
     max_degree: int | None = None,
-) -> QFunction | list[QFunction]:
+) -> QFunctions:
     """Reconstruct the Q polynomial of each eigenvalue from the grid systems.
 
-    ``t_coeffs`` is one vector (N,), giving one QFunction, or a stack (M, N),
-    giving a list; both take the same stacked path.  The difference equation
+    ``t_coeffs`` is one vector (N,) or a stack (M, N); the table has one row
+    per eigenvalue (M = 1 for one vector).  The difference equation
     closes cyclically on each grid and each negated grid (2N orbits; the negated
     values feed the dual states).  One SVD of all M x 2N orbit systems gives per
     orbit a (numerically) one-dimensional nullspace: the Q values up to one scale.
@@ -456,23 +441,23 @@ def q_from_t(
     qc, values = qc / norm, values / norm[:, None]
     imag_residue = np.max(np.abs(qc.imag), axis=1) / np.max(np.abs(qc), axis=1)
 
-    q_fns = [QFunction(*fields) for fields in zip(  # in QFunction field order
-        qc, values[:, :N], values[:, N:], svals[:, -1].tolist(), gaps, imag_residue.tolist())]
-    return q_fns[0] if np.ndim(t_coeffs) == 1 else q_fns
+    return QFunctions(qc, values[:, :N], values[:, N:], svals[:, -1], gaps, imag_residue)
 
 
 def tq_residual(
     coeffs: BaxterCoeffs,
     t_coeffs: np.ndarray,
-    q_function: QFunction,
+    q_coeffs: np.ndarray,
     lam: complex | np.ndarray,
 ) -> np.ndarray:
-    """Relative residual of the functional TQ equation at arbitrary ``lam``."""
+    """Relative residual of the functional TQ equation at arbitrary ``lam``, for one
+    eigenvalue and its Q coefficients (a row of :attr:`QFunctions.coeffs`)."""
     lam = np.asarray(lam, dtype=complex)
     q = coeffs.params.q
-    lhs = t_eval(t_coeffs, lam) * q_function(lam)
-    term_a = coeffs.a(lam) * q_function(lam / q)
-    term_d = coeffs.d(lam) * q_function(lam * q)
+    polyval = np.polynomial.polynomial.polyval
+    lhs = t_eval(t_coeffs, lam) * polyval(lam, q_coeffs)
+    term_a = coeffs.a(lam) * polyval(lam / q, q_coeffs)
+    term_d = coeffs.d(lam) * polyval(lam * q, q_coeffs)
     scale = np.abs(lhs) + np.abs(term_a) + np.abs(term_d)
     return np.abs(lhs - term_a - term_d) / scale
 
@@ -507,8 +492,8 @@ def ab_initio_spectrum(
     )
 
     def residuals(c: np.ndarray) -> np.ndarray:
-        dets = np.array([np.linalg.det(mat) / hadamard_scale(mat)
-                         for mat in _cyclic_system(params, coeffs, [c], avg.grids)[0]])
+        det, bound = _grid_dets(params, avg, coeffs, c[None])
+        dets = det[0] / bound[0]
         return np.concatenate([dets.real, dets.imag])
 
     found: list[np.ndarray] = []

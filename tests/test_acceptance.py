@@ -9,6 +9,7 @@ p=3/N=5.
 import numpy as np
 import pytest
 
+from sgsov import acceptance
 from sgsov.acceptance import CRITERIA, CriterionResult, default_instance, run_suite
 
 
@@ -140,3 +141,17 @@ def test_stretch_structural(p, n_sites):
         print(f"stretch p={p} N={n_sites}: ", end="")
         _show(res)
         assert res.passed
+
+
+@pytest.mark.parametrize("index, name, key, nan_value", [
+    (0, "verify_rll", "max_residual", lambda *args: np.nan),
+    (1, "transfer_commutator_residual", "max_residual", lambda *args: np.nan),
+    (2, "commutator_residual", "centrality_commutator", lambda *args: np.nan),
+    (6, "transfer", "max_transfer_residual", lambda params, lam: np.full((params.dim,) * 2, np.nan)),
+], ids=["rll", "transfer_commutativity", "central_averages", "eigenstates"])
+def test_nan_residual_fails_its_criterion(index, name, key, nan_value, solution7, monkeypatch):
+    # max(0.0, nan) is 0.0: a residual the check cannot measure must fail it, not pass
+    monkeypatch.setattr(acceptance, name, nan_value)
+    res = CRITERIA[index](solution7, np.random.default_rng(0))
+    assert not res.passed
+    assert np.isnan(res.measured[key])

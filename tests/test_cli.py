@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,17 @@ def test_degenerate_q_system_exits_4(capsys):
     assert code == 4
     assert ("grid system 2 has a nullspace of dimension > 1 (singular-value gap 2.372e-07)"
             in capsys.readouterr().err)
+
+
+def test_nan_residuals_fail_verify_ybe(capsys):
+    # at kappa_1 = 1e200 the site-1 RLL residual and both commutators are NaN, which
+    # a maximum seeded with 0.0 used to fold into a passing 0.0
+    code, out = run(capsys, "--kappa=1e200,1,1", "--format", "json", "verify-ybe")
+    assert code == 3
+    records = {(r["record"], r.get("site")): r for r in map(json.loads, out.splitlines())}
+    for key in (("rll_residual", 1), ("transfer_commutator", None), ("b_commutator", None)):
+        assert math.isnan(records[key]["value"]) and records[key]["passed"] is False
+    assert all(records["rll_residual", site]["passed"] for site in (2, 3))
 
 
 def test_complex_form_factors_hold_the_u1_ratio_bound(capsys):

@@ -15,6 +15,7 @@ from sgsov import (
     form_factor_det_scale,
     oracle_spectrum,
     q_from_t,
+    t_eval,
     transfer,
     u1_operator,
 )
@@ -25,12 +26,12 @@ from sgsov.observables import OPERATOR_TAGS, form_factor_table, identity_table
 def test_built_states_are_eigenstates(solution7, params7, rng):
     for lam in laurent.sample_annulus(rng, 2):
         tmat = transfer(params7, lam)
-        for j, pr in enumerate(solution7.pairs):
+        for j, t in enumerate(solution7.oracle.t_coeffs):
             vec = solution7.built_right[:, j]
-            resid = np.linalg.norm(tmat @ vec - pr.t(lam) * vec) / np.linalg.norm(vec)
+            resid = np.linalg.norm(tmat @ vec - t_eval(t, lam) * vec) / np.linalg.norm(vec)
             assert resid < 1e-8
             cov = solution7.built_left[j]
-            resid = np.linalg.norm(cov @ tmat - pr.t(lam) * cov) / np.linalg.norm(cov)
+            resid = np.linalg.norm(cov @ tmat - t_eval(t, lam) * cov) / np.linalg.norm(cov)
             assert resid < 1e-8
 
 
@@ -40,22 +41,17 @@ def test_overlaps_with_oracle(solution7):
 
 
 def test_zero_q_gives_zero_state(solution7):
-    qf = solution7.pairs[0].q_function
-    zero_q = replace(
-        qf,
-        coeffs=np.zeros_like(qf.coeffs),
-        grid_values=np.zeros_like(qf.grid_values),
-        neg_grid_values=np.zeros_like(qf.neg_grid_values),
-    )
-    assert np.allclose(build_eigenstate(solution7.frame, zero_q), 0.0)
-    assert np.allclose(build_coeigenstate(solution7.frame, zero_q), 0.0)
+    q = solution7.q
+    assert np.allclose(build_eigenstate(solution7.frame, np.zeros_like(q.grid_values[0])), 0.0)
+    assert np.allclose(build_coeigenstate(solution7.frame, np.zeros_like(q.neg_grid_values[0])),
+                       0.0)
 
 
 def test_uncalibrated_frame_rejected(params7, solution7):
     avg = solution7.avg
     frame = diagonalize_b_family(params7, avg, 4)
     with pytest.raises(ValueError, match="calibrated"):
-        build_eigenstate(frame, solution7.pairs[0].q_function)
+        build_eigenstate(frame, solution7.q.grid_values[0])
 
 
 def test_biorthogonality_of_built_states(solution7):
@@ -66,28 +62,28 @@ def test_biorthogonality_of_built_states(solution7):
 
 
 def test_unknown_operator_tag_rejected(solution7):
-    t = solution7.pairs[0]
     with pytest.raises(ValueError, match="unknown operator"):
-        form_factor(solution7.avg, t, t, "u2")
+        form_factor(solution7.avg, solution7.q, 0, 0, "u2")
 
 
 def test_form_factor_determinant_scaling(solution7, params7):
     # each Phi row is linear in Q_t: scaling Q_t by s scales det by s^N
-    t, tp = solution7.pairs[4], solution7.pairs[9]
+    q, t, tp = solution7.q, 4, 9
     s = 1.7 - 0.3j
+    factor = np.where(np.arange(len(q)) == t, s, 1)  # row t only
     scaled = replace(
-        t.q_function,
-        coeffs=s * t.q_function.coeffs,
-        grid_values=s * t.q_function.grid_values,
-        neg_grid_values=s * t.q_function.neg_grid_values,
+        q,
+        coeffs=factor[:, None] * q.coeffs,
+        grid_values=factor[:, None, None] * q.grid_values,
+        neg_grid_values=factor[:, None, None] * q.neg_grid_values,
     )
-    base = form_factor(solution7.avg, t, tp, "u1")
-    scaled_det = form_factor(solution7.avg, replace(t, q_function=scaled), tp, "u1")
+    base = form_factor(solution7.avg, q, t, tp, "u1")
+    scaled_det = form_factor(solution7.avg, scaled, t, tp, "u1")
     assert scaled_det == pytest.approx(s ** params7.N * base, rel=1e-10)
 
 
 def test_identity_determinants_reproduce_pairings(solution7, params7):
-    det, scale = identity_table(solution7.avg, solution7.pairs)
+    det, scale = identity_table(solution7.avg, solution7.q)
     direct = solution7.direct_table("identity")
     off = (np.abs(det) / scale)[~np.eye(len(det), dtype=bool)]
     assert np.max(off) < 1e-8
@@ -96,9 +92,9 @@ def test_identity_determinants_reproduce_pairings(solution7, params7):
 
 
 def test_u1_determinants_reproduce_matrix_elements(solution7, params7):
-    det = form_factor_table(solution7.avg, solution7.pairs, "u1")
+    det = form_factor_table(solution7.avg, solution7.q, "u1")
     direct = solution7.direct_table("u1")
-    const = (np.diag(form_factor_table(solution7.avg, solution7.pairs, "identity"))
+    const = (np.diag(form_factor_table(solution7.avg, solution7.q, "identity"))
              / np.diag(solution7.direct_table("identity"))).mean()
     ratios = det / direct
     assert np.max(np.abs(ratios / const - 1)) < 1e-6
@@ -109,10 +105,10 @@ def test_single_site_form_factors(solution_n1, params_n1):
     # whole matrix; the dual Q of one state may vanish on the negated grid,
     # but the assembled determinant is finite and still matches the dense
     # matrix elements
-    det_id = form_factor_table(solution_n1.avg, solution_n1.pairs, "identity")
+    det_id = form_factor_table(solution_n1.avg, solution_n1.q, "identity")
     direct_id = solution_n1.direct_table("identity")
     const = (np.diag(det_id) / np.diag(direct_id)).mean()
-    det_u1 = form_factor_table(solution_n1.avg, solution_n1.pairs, "u1")
+    det_u1 = form_factor_table(solution_n1.avg, solution_n1.q, "u1")
     direct_u1 = solution_n1.direct_table("u1")
     assert np.max(np.abs(det_u1 / direct_u1 / const - 1)) < 1e-6
 
@@ -141,8 +137,8 @@ def _reference_table(sol, tag):
     N, p, q = params.N, params.p, params.q
     cs = np.arange(p + 2) % p
     ys = avg.grids[:, cs]                                                       # y_a(c), c = 0..p+1
-    q_t = np.array([pr.q_function.grid_values[:, cs] for pr in sol.pairs])      # Q_t(y_a(c))
-    q_d = np.array([pr.q_function.neg_grid_values[:, cs] for pr in sol.pairs])  # Q_t'(-y_a(c))
+    q_t = sol.q.grid_values[:, :, cs]                                           # Q_t(y_a(c))
+    q_d = sol.q.neg_grid_values[:, :, cs]                                       # Q_t'(-y_a(c))
     xi1, kap1 = params.xi[0], params.kappa[0]
     phi = np.zeros((params.dim, params.dim, N, N), dtype=complex)
     mag = np.zeros(phi.shape)
@@ -166,7 +162,7 @@ def _reference_table(sol, tag):
 @pytest.mark.parametrize("tag", ["identity", "u1"])
 def test_tables_match_entrywise_reference(any_solution, tag):
     ref, bound = _reference_table(any_solution, tag)
-    got = form_factor_table(any_solution.avg, any_solution.pairs, tag)
+    got = form_factor_table(any_solution.avg, any_solution.q, tag)
     # errors relative to the largest determinant of the row, except where
     # the determinant vanishes (identity off the diagonal): there both sides
     # are rounding noise of cancelling terms, measured against their bound
@@ -181,15 +177,15 @@ def test_row_form_factors_match_single_pairs(solution7, solution_complex):
     # a table, with its t'-independent factors built once, has the bits of its
     # pairs; the identity table's c-terms also give its Hadamard scales
     for sol, tag in itertools.product((solution7, solution_complex), OPERATOR_TAGS):
-        avg, pairs = sol.avg, sol.pairs
-        dets = form_factor_table(avg, pairs, tag)
-        assert np.array_equal(dets, [[form_factor(avg, t, tp, tag) for t in pairs]
-                                     for tp in pairs])
+        avg, q, rows = sol.avg, sol.q, range(len(sol.q))
+        dets = form_factor_table(avg, q, tag)
+        assert np.array_equal(dets, [[form_factor(avg, q, t, tp, tag) for t in rows]
+                                     for tp in rows])
         if tag == "identity":
-            scaled_dets, scales = identity_table(avg, pairs)
+            scaled_dets, scales = identity_table(avg, q)
             assert np.array_equal(scaled_dets, dets)
-            assert np.array_equal(scales, [[form_factor_det_scale(avg, t, tp, tag) for t in pairs]
-                                           for tp in pairs])
+            assert np.array_equal(scales, [[form_factor_det_scale(avg, q, t, tp, tag) for t in rows]
+                                           for tp in rows])
 
 
 @pytest.mark.parametrize("name, seed", [("solution7", 7), ("solution_complex", 1)])
@@ -206,10 +202,9 @@ def test_form_factor_tables_need_only_grids_and_q_values(request, monkeypatch, n
     params = sol.params
     avg, coeffs = compute_grids(params), baxter_coeffs(params)
     oracle = oracle_spectrum(params, np.random.SeedSequence(seed).spawn(2)[0])
-    q_fns = q_from_t(params, avg, coeffs, [pr.t_coeffs for pr in oracle.pairs])
-    pairs = [pr.with_q(qf) for pr, qf in zip(oracle.pairs, q_fns)]
+    q = q_from_t(params, avg, coeffs, oracle.t_coeffs)
     for tag in OPERATOR_TAGS:
-        assert np.array_equal(form_factor_table(avg, pairs, tag),
-                              form_factor_table(sol.avg, sol.pairs, tag))
-    for got, want in zip(identity_table(avg, pairs), identity_table(sol.avg, sol.pairs)):
+        assert np.array_equal(form_factor_table(avg, q, tag),
+                              form_factor_table(sol.avg, sol.q, tag))
+    for got, want in zip(identity_table(avg, q), identity_table(sol.avg, sol.q)):
         assert np.array_equal(got, want)

@@ -20,10 +20,10 @@ def test_parity_alignment_for_complex_couplings(solution_complex):
 
     assert sol.right_overlaps.min() > 1 - 1e-8
     assert sol.left_overlaps.min() > 1 - 1e-8
-    det_id = form_factor_table(sol.avg, sol.pairs, "identity")
+    det_id = form_factor_table(sol.avg, sol.q, "identity")
     dir_id = sol.direct_table("identity")
     const = (np.diag(det_id) / np.diag(dir_id)).mean()
-    ratio = form_factor_table(sol.avg, sol.pairs, "u1") / sol.direct_table("u1")
+    ratio = form_factor_table(sol.avg, sol.q, "u1") / sol.direct_table("u1")
     assert np.max(np.abs(ratio / const - 1)) < 1e-6
 
 

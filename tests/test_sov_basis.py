@@ -95,24 +95,24 @@ def test_measure_single_site(params_n1, solution_n1):
 
 def test_calibration_reproduces_reference(params7, solution7):
     frame = solution7.frame
-    ref = solution7.pairs[solution7.reference_index]
+    ref = solution7.q.grid_values[solution7.reference_index]
     vector = solution7.oracle.right[:, solution7.reference_index]
-    coeff = separate_expansion(frame, ref.q_function.grid_values)
+    coeff = separate_expansion(frame, ref)
     rebuilt = frame.right @ coeff
     assert np.linalg.norm(rebuilt - vector) / np.linalg.norm(vector) < 1e-10
     assert frame.calibrated
     with pytest.raises(ValueError):
-        calibrate_scales(frame, ref.q_function, vector)  # double calibration
+        calibrate_scales(frame, ref, vector)  # double calibration
 
 
 def test_calibration_phase_covariance(params7, solution7):
     # rotating the oracle vector by a phase rotates all scales together
     avg = solution7.avg
     frame = diagonalize_b_family(params7, avg, 99)
-    ref = solution7.pairs[solution7.reference_index]
+    ref = solution7.q.grid_values[solution7.reference_index]
     vector = solution7.oracle.right[:, solution7.reference_index]
-    cal1 = calibrate_scales(frame, ref.q_function, vector)
-    cal2 = calibrate_scales(frame, ref.q_function, np.exp(0.7j) * vector)
+    cal1 = calibrate_scales(frame, ref, vector)
+    cal2 = calibrate_scales(frame, ref, np.exp(0.7j) * vector)
     ratio = cal2.scales / cal1.scales
     assert np.allclose(ratio, np.exp(0.7j), rtol=1e-10)
 
@@ -121,12 +121,10 @@ def test_calibration_rejects_reference_vanishing_on_grid(params7, solution7):
     # a reference Q with a zero on the grid leaves some labels without weight:
     # a degenerate model (exit code 4), not a misuse of the API
     frame = diagonalize_b_family(params7, solution7.avg, 99)
-    ref = solution7.pairs[solution7.reference_index]
-    grid = ref.q_function.grid_values.copy()
+    grid = solution7.q.grid_values[solution7.reference_index].copy()
     grid[0, 0] = 0.0
-    q_function = replace(ref.q_function, grid_values=grid)
     with pytest.raises(DegenerateModelError, match="vanishes near a grid point"):
-        calibrate_scales(frame, q_function, solution7.oracle.right[:, solution7.reference_index])
+        calibrate_scales(frame, grid, solution7.oracle.right[:, solution7.reference_index])
 
 
 def _label_with(monkeypatch, mutate):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -42,7 +44,7 @@ def test_oracle_spectrum_complete_and_distinct(solution7, params7):
     oracle = solution7.oracle
     assert len(oracle) == params7.dim
     assert oracle.min_coeff_gap > 1e-8
-    assert max(pr.fit_residual for pr in oracle.pairs) < 1e-9
+    assert oracle.fit_residual.max() < 1e-9
     assert oracle.residual < 1e-10
 
 
@@ -58,7 +60,7 @@ def test_simultaneous_eig_residual_flags_noncommuting_member(params7, rng):
 
 def test_oracle_reality_for_real_couplings(solution7):
     # soft class property, measured not assumed; regression-guarded here
-    assert max(pr.imag_residue for pr in solution7.pairs) < 1e-6
+    assert solution7.oracle.imag_residue.max() < 1e-6
 
 
 def test_trace_identity(solution7, params7, rng):
@@ -67,8 +69,8 @@ def test_trace_identity(solution7, params7, rng):
     # the shift generators), which makes this a sharp completeness check
     for lam in laurent.sample_annulus(rng, 3):
         tr = np.trace(transfer(params7, lam))
-        total = sum(pr.t(lam) for pr in solution7.pairs)
-        scale = sum(abs(pr.t(lam)) for pr in solution7.pairs)
+        total = sum(t_eval(t, lam) for t in solution7.oracle.t_coeffs)
+        scale = sum(abs(t_eval(t, lam)) for t in solution7.oracle.t_coeffs)
         assert abs(tr) / scale < 1e-12
         assert abs(tr - total) / scale < 1e-10
 
@@ -76,25 +78,25 @@ def test_trace_identity(solution7, params7, rng):
 def test_separate_system_constant_action(solution7, params7):
     # acting on the all-ones vector reproduces t - a - d on the grid row
     avg, coeffs = solution7.avg, solution7.coeffs
-    pair = solution7.pairs[0]
+    t = solution7.oracle.t_coeffs[0]
     for n in range(1, params7.N + 1):
-        mat = spectrum._cyclic_system(params7, coeffs, [pair.t_coeffs], avg.grids[n - 1 : n])[0, 0]
+        mat = spectrum._cyclic_system(params7, coeffs, [t], avg.grids[n - 1 : n])[0, 0]
         y = avg.grids[n - 1]
-        expected = t_eval(pair.t_coeffs, y) - coeffs.a(y) - coeffs.d(y)
+        expected = t_eval(t, y) - coeffs.a(y) - coeffs.d(y)
         assert np.allclose(mat @ np.ones(params7.p), expected, rtol=1e-12)
 
 
 def test_grid_determinants_vanish_on_spectrum(solution7, params7):
-    for pr in solution7.pairs:
-        dets = grid_determinants(params7, solution7.avg, solution7.coeffs, pr.t_coeffs)
+    for t in solution7.oracle.t_coeffs:
+        dets = grid_determinants(params7, solution7.avg, solution7.coeffs, t)
         assert dets.max() < 1e-8
 
 
 def test_grid_determinants_reject_perturbations(solution7, params7, rng):
-    scale = np.mean([np.abs(pr.t_coeffs) for pr in solution7.pairs])
+    scale = np.mean(np.abs(solution7.oracle.t_coeffs))
     for _ in range(20):
-        pr = solution7.pairs[rng.integers(params7.dim)]
-        probe = pr.t_coeffs + 1e-2 * scale * rng.standard_normal(params7.N)
+        t = solution7.oracle.t_coeffs[rng.integers(params7.dim)]
+        probe = t + 1e-2 * scale * rng.standard_normal(params7.N)
         dets = grid_determinants(params7, solution7.avg, solution7.coeffs, probe)
         assert dets.max() > 1e-5
 
@@ -102,46 +104,44 @@ def test_grid_determinants_reject_perturbations(solution7, params7, rng):
 def test_q_reconstruction_consistency(solution7, params7, rng):
     bound = params7.N * (params7.p - 1)
     lams = laurent.sample_annulus(rng, 20, avoid=solution7.avg.all_points(negated=True))
-    for pr in solution7.pairs:
-        qf = pr.q_function
-        assert qf.fit_residual < 1e-8
-        assert qf.degree <= bound
-        assert np.max(tq_residual(solution7.coeffs, pr.t_coeffs, qf, lams)) < 1e-8
-        assert qf.imag_residue < 1e-6
+    q = solution7.q
+    for j, t in enumerate(solution7.oracle.t_coeffs):
+        assert q.fit_residual[j] < 1e-8
+        assert q.degree[j] <= bound
+        assert np.max(tq_residual(solution7.coeffs, t, q.coeffs[j], lams)) < 1e-8
+        assert q.imag_residue[j] < 1e-6
 
 
 def test_q_degree_bound_is_sharp(solution7, params7):
     # refit in a wider basis: coefficients above the bound must vanish
     bound = params7.N * (params7.p - 1)
-    pr = solution7.pairs[3]
-    wide = q_from_t(params7, solution7.avg, solution7.coeffs, pr.t_coeffs,
-                    max_degree=bound + 2)
-    tail = np.max(np.abs(wide.coeffs[bound + 1 :])) / np.max(np.abs(wide.coeffs))
+    t = solution7.oracle.t_coeffs[3]
+    wide = q_from_t(params7, solution7.avg, solution7.coeffs, t,
+                    max_degree=bound + 2).coeffs[0]
+    tail = np.max(np.abs(wide[bound + 1 :])) / np.max(np.abs(wide))
     assert tail < 1e-8
 
 
 def test_q_interpolation_holds_out(solution7, params7):
     # polynomial through the grid values reproduces every orbit value
-    pr = solution7.pairs[5]
-    qf = pr.q_function
-    assert np.allclose(qf(solution7.avg.grids), qf.grid_values)
-    assert np.allclose(qf(-solution7.avg.grids), qf.neg_grid_values)
+    q, polyval = solution7.q, np.polynomial.polynomial.polyval
+    assert np.allclose(polyval(solution7.avg.grids, q.coeffs[5]), q.grid_values[5])
+    assert np.allclose(polyval(-solution7.avg.grids, q.coeffs[5]), q.neg_grid_values[5])
 
 
 def test_single_site_spectrum(params_n1, solution_n1):
     # N=1: three eigenpairs, constant eigenvalue functions
-    assert len(solution_n1.pairs) == 3
-    for pr in solution_n1.pairs:
-        assert pr.t_coeffs.shape == (1,)
-        dets = grid_determinants(params_n1, solution_n1.avg, solution_n1.coeffs,
-                                 pr.t_coeffs)
+    assert len(solution_n1.oracle) == 3
+    for t in solution_n1.oracle.t_coeffs:
+        assert t.shape == (1,)
+        dets = grid_determinants(params_n1, solution_n1.avg, solution_n1.coeffs, t)
         assert dets.max() < 1e-10
 
 
 def test_ab_initio_search_finds_subset(params_n1, solution_n1):
     found = ab_initio_spectrum(params_n1, solution_n1.avg, solution_n1.coeffs,
                                seed=1, n_starts=60)
-    oracle = np.array([pr.t_coeffs for pr in solution_n1.pairs])
+    oracle = solution_n1.oracle.t_coeffs
     assert len(found) >= 1
     for c in found:
         dists = np.linalg.norm(oracle - c[None, :], axis=1) / np.linalg.norm(c)
@@ -152,7 +152,7 @@ def test_oracle_spectrum_deterministic(params7):
     a = oracle_spectrum(params7, seed=123)
     b = oracle_spectrum(params7, seed=123)
     assert np.array_equal(a.right, b.right)
-    assert all(np.array_equal(x.t_coeffs, y.t_coeffs) for x, y in zip(a.pairs, b.pairs))
+    assert np.array_equal(a.t_coeffs, b.t_coeffs)
 
 
 @pytest.fixture(scope="module", params=[None, (3, 5), (5, 3)],
@@ -166,7 +166,7 @@ def test_sectored_oracle_columns_are_transfer_eigenvectors(sectored, rng):
     params, oracle = sectored
     lam = laurent.sample_annulus(rng, 1, avoid=oracle.lambda_samples)[0]
     op = transfer(params, lam)
-    t_vals = np.array([pr.t(lam) for pr in oracle.pairs])
+    t_vals = np.array([t_eval(t, lam) for t in oracle.t_coeffs])
     cols = np.linalg.norm(op @ oracle.right - oracle.right * t_vals, axis=0)
     assert np.max(cols / np.linalg.norm(oracle.right, axis=0)) < 1e-12 * np.linalg.norm(op)
     assert np.max(np.abs(oracle.left @ oracle.right - np.eye(params.dim))) < 1e-12
@@ -377,10 +377,10 @@ def _q_loop_reference(params, avg, coeffs, t_coeffs, max_degree=None):
         qc, values = -qc, -values
     norm = np.linalg.norm(qc)
     qc, values = qc / norm, values / norm
-    return spectrum.QFunction(
-        coeffs=qc, grid_values=values[:N], neg_grid_values=values[N:],
-        fit_residual=float(svals[-1]), nullspace_gaps=gaps,
-        imag_residue=float(np.max(np.abs(qc.imag)) / np.max(np.abs(qc))))
+    return spectrum.QFunctions(
+        coeffs=qc[None], grid_values=values[None, :N], neg_grid_values=values[None, N:],
+        fit_residual=svals[-1:], nullspace_gaps=gaps[None],
+        imag_residue=np.array([np.max(np.abs(qc.imag)) / np.max(np.abs(qc))]))
 
 
 def _first_loop_error(params, avg, coeffs, ts):
@@ -392,10 +392,14 @@ def _first_loop_error(params, avg, coeffs, ts):
     return None
 
 
+def _row(q, j):
+    """Row j of a Q table as a table of one row."""
+    return spectrum.QFunctions(*(getattr(q, f.name)[j : j + 1] for f in dataclasses.fields(q)))
+
+
 def _assert_same_bits(got, want):
-    for field in ("coeffs", "grid_values", "neg_grid_values", "nullspace_gaps"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-    assert (got.fit_residual, got.imag_residue) == (want.fit_residual, want.imag_residue)
+    for field in dataclasses.fields(spectrum.QFunctions):
+        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), field.name
 
 
 @pytest.fixture(scope="module", params=["params_n1", "params7", "params_complex", (3, 5), (5, 3)],
@@ -403,20 +407,21 @@ def _assert_same_bits(got, want):
 def q_stack(request):
     params = (request.getfixturevalue(request.param) if isinstance(request.param, str)
               else default_instance(7, *request.param))
-    ts = np.array([pr.t_coeffs for pr in oracle_spectrum(params, seed=7).pairs])
+    ts = oracle_spectrum(params, seed=7).t_coeffs
     return params, compute_grids(params), baxter_coeffs(params), ts
 
 
 @pytest.mark.parametrize("extra_degree", [0, 2])
 def test_stacked_q_matches_one_at_a_time(q_stack, extra_degree):
-    # one stacked call gives the bits of one call per eigenvalue and of the unstacked loop
+    # each row of one stacked call has the bits of the one-row table of its eigenvalue
+    # and of the unstacked loop
     params, avg, coeffs, ts = q_stack
     deg = params.N * (params.p - 1) + extra_degree
     stacked = q_from_t(params, avg, coeffs, ts, max_degree=deg)
-    assert isinstance(stacked, list) and len(stacked) == len(ts)
-    for t, qf in zip(ts, stacked):
-        _assert_same_bits(qf, q_from_t(params, avg, coeffs, t, max_degree=deg))
-        _assert_same_bits(qf, _q_loop_reference(params, avg, coeffs, t, deg))
+    assert isinstance(stacked, spectrum.QFunctions) and len(stacked) == len(ts)
+    for j, t in enumerate(ts):
+        _assert_same_bits(_row(stacked, j), q_from_t(params, avg, coeffs, t, max_degree=deg))
+        _assert_same_bits(_row(stacked, j), _q_loop_reference(params, avg, coeffs, t, deg))
 
 
 @st.composite
@@ -437,7 +442,7 @@ def _coupled_instances(draw, real=None):
 def test_stacked_q_matches_loop_on_random_couplings(params):
     try:
         avg = compute_grids(params)
-        ts = [pr.t_coeffs for pr in oracle_spectrum(params, seed=1).pairs]
+        ts = oracle_spectrum(params, seed=1).t_coeffs
     except (DegenerateModelError, ToleranceError):
         reject()
     coeffs = baxter_coeffs(params)
@@ -447,8 +452,9 @@ def test_stacked_q_matches_loop_on_random_couplings(params):
             q_from_t(params, avg, coeffs, ts)
         assert str(exc.value) == expected
         return
-    for t, qf in zip(ts, q_from_t(params, avg, coeffs, ts)):
-        _assert_same_bits(qf, _q_loop_reference(params, avg, coeffs, t))
+    stacked = q_from_t(params, avg, coeffs, ts)
+    for j, t in enumerate(ts):
+        _assert_same_bits(_row(stacked, j), _q_loop_reference(params, avg, coeffs, t))
 
 
 @settings(max_examples=15, deadline=None)
@@ -470,7 +476,7 @@ def test_coefficient_operators_are_hermitian_for_real_couplings(params):
     assert len(coefficient_ops) == 2 * params.N  # both C-sectors
     for op in coefficient_ops:
         assert np.linalg.norm(op - op.conj().T) <= 1e-13 * np.linalg.norm(op)
-    assert max(pr.imag_residue for pr in oracle.pairs) < params.tol("reality")
+    assert oracle.imag_residue.max() < params.tol("reality")
 
 
 @settings(max_examples=25, deadline=None)
@@ -486,18 +492,18 @@ def test_coefficients_match_a_laurent_fit_of_dense_eigenvalues(params, seed):
     values = [np.einsum("ji,ij->j", oracle.left, transfer(params, lam) @ oracle.right)
               for lam in lams]
     fitted = laurent.fit(lams, np.array(values), laurent.transfer_powers(params.N))
-    coeffs = np.array([pr.t_coeffs for pr in oracle.pairs]).T
+    coeffs = oracle.t_coeffs.T
     assert np.all(np.linalg.norm(fitted - coeffs, axis=0)
                   <= 1e-10 * np.linalg.norm(coeffs, axis=0))
 
 
 def test_gap_guard_raises_the_loops_first_error(solution7, params7):
     # a nullspace_gap between the smallest and largest orbit gap of the spectrum
-    gaps = np.array([pr.q_function.nullspace_gaps for pr in solution7.pairs])
+    gaps = solution7.q.nullspace_gaps
     tol = float(np.sqrt(gaps.min() * gaps.max()))
     params = params7.with_tolerances(nullspace_gap=tol)
     avg, coeffs = solution7.avg, solution7.coeffs
-    ts = [pr.t_coeffs for pr in solution7.pairs]
+    ts = solution7.oracle.t_coeffs
     expected = _first_loop_error(params, avg, coeffs, ts)
     assert expected.startswith("grid system ")
     with pytest.raises(DegenerateModelError) as exc:
@@ -514,7 +520,7 @@ def test_guard_order_follows_the_loop():
     xi = rng.uniform(0.5, 2, 3) * np.exp(1j * rng.uniform(-0.6, 0.6, 3))
     base = make_params(3, 3, 2, kappa, xi)
     avg, coeffs = compute_grids(base), baxter_coeffs(base)
-    ts = [pr.t_coeffs for pr in oracle_spectrum(base, seed=13).pairs]
+    ts = oracle_spectrum(base, seed=13).t_coeffs
     seen = set()
     for tol in (0.05, 0.3, 0.4, 0.45):
         params = base.with_tolerances(nullspace_gap=tol)
@@ -525,3 +531,41 @@ def test_guard_order_follows_the_loop():
             assert str(exc.value) == expected
             seen.add(expected.split()[0])
     assert seen == {"grid", "joint"}
+
+
+@pytest.mark.parametrize("name", ["solution_n1", "solution7", "solution_complex"])
+def test_stacked_grid_determinants_match_rows(name, request):
+    # one call on a stack (the spectrum and perturbed probes) has the bits of one call per row
+    sol = request.getfixturevalue(name)
+    ts = sol.oracle.t_coeffs
+    probes = ts + 1e-2 * np.random.default_rng(5).standard_normal(ts.shape)
+    for stack in (ts, probes):
+        stacked = grid_determinants(sol.params, sol.avg, sol.coeffs, stack)
+        assert stacked.shape == stack.shape
+        assert np.array_equal(stacked, [grid_determinants(sol.params, sol.avg, sol.coeffs, t)
+                                        for t in stack])
+
+
+def _scalar_degree(row):
+    """The per-row degree rule: the last coefficient above 1e-12 of the row's largest."""
+    mags = np.abs(row)
+    sig = np.nonzero(mags > 1e-12 * mags.max())[0]
+    return int(sig[-1]) if sig.size else 0
+
+
+_coefficient = st.one_of(
+    st.just(0j),
+    st.builds(lambda m, e, phi: m * 10.0 ** e * np.exp(1j * phi),
+              st.floats(0.5, 1.0), st.integers(-16, 2), st.floats(0.0, 6.3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda width: st.lists(st.lists(_coefficient, min_size=width, max_size=width),
+                           min_size=1, max_size=6)))
+def test_table_degree_is_the_scalar_rule_per_row(rows):
+    # an all-zero row is always appended: its degree is 0
+    coeffs = np.vstack([np.array(rows, dtype=complex), np.zeros(len(rows[0]))])
+    table = spectrum.QFunctions(coeffs, *[None] * 5)
+    assert table.degree.tolist() == [_scalar_degree(row) for row in coeffs]
+    assert table.degree[-1] == 0
